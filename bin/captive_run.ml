@@ -182,6 +182,37 @@ let boot_cmd =
   Cmd.v (Cmd.info "boot" ~doc:"Boot the mini guest OS with a demo user program.")
     Term.(const run $ engine_arg)
 
+(* The guest programs the checking subcommands boot on Captive: a user
+   program under the ARM mini-OS, or the bare-metal RISC-V MMU-stress
+   image. *)
+type program = Arm_user of bytes | Riscv_mmu
+
+let exit_of = function
+  | Captive.Engine.Poweroff c -> c
+  | Captive.Engine.Cycle_limit -> -2
+  | Captive.Engine.Block_limit -> -3
+
+(* Create an engine for [program] (guest models at offline level
+   [level]), run it to power-off or [max_cycles], and stop its JIT
+   workers; returns the engine and the guest exit code. *)
+let boot ?(config = Captive.Engine.default_config) ?level ?(max_cycles = 2_000_000_000) program =
+  let e =
+    match program with
+    | Arm_user user ->
+      let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ?opt_level:level ()) in
+      Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
+      e
+    | Riscv_mmu ->
+      let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ?opt_level:level ()) in
+      Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
+        (Workloads.Mmu_stress.riscv_image ());
+      Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
+      e
+  in
+  Fun.protect
+    ~finally:(fun () -> Captive.Engine.shutdown e)
+    (fun () -> (e, exit_of (Captive.Engine.run ~max_cycles e)))
+
 (* --- info ------------------------------------------------------------------------- *)
 
 let info_cmd =
@@ -450,27 +481,8 @@ let mmucheck_cmd =
     let config =
       { Captive.Engine.default_config with Captive.Engine.sanitize = true; sanitize_every = every }
     in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
     let run_arm ~sanitize () =
-      let e =
-        Captive.Engine.create ~config:{ config with Captive.Engine.sanitize } (Guest_arm.Arm.ops ())
-      in
-      Workloads.Kernel.install (Workloads.Kernel.captive_target e)
-        ~user:(Workloads.Mmu_stress.arm_user ());
-      let code = exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e) in
-      (e, code)
-    in
-    let run_riscv () =
-      let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ()) in
-      Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-        (Workloads.Mmu_stress.riscv_image ());
-      Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-      let code = exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e) in
-      (e, code)
+      boot ~config:{ config with Captive.Engine.sanitize } (Arm_user (Workloads.Mmu_stress.arm_user ()))
     in
     let report name (e : Captive.Engine.t) ~code ~expected =
       (* One final sweep so even a quiet run ends with a checkpoint. *)
@@ -502,7 +514,7 @@ let mmucheck_cmd =
     let e_arm, code_arm = run_arm ~sanitize:true () in
     report "armv8-a" e_arm ~code:code_arm ~expected:Workloads.Mmu_stress.arm_expected_exit;
     say "mmucheck: rv64im MMU stress under the shadow-oracle sanitizer\n%!";
-    let e_rv, code_rv = run_riscv () in
+    let e_rv, code_rv = boot ~config Riscv_mmu in
     report "rv64im" e_rv ~code:code_rv ~expected:Workloads.Mmu_stress.riscv_expected_exit;
     if guard then begin
       let e_off, code_off = run_arm ~sanitize:false () in
@@ -574,11 +586,6 @@ let stress_cmd =
       let failures = ref 0 in
       let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
       let shout line = if json then prerr_endline line else print_endline line in
-      let exit_of = function
-        | Captive.Engine.Poweroff c -> c
-        | Captive.Engine.Cycle_limit -> -2
-        | Captive.Engine.Block_limit -> -3
-      in
       (* Hot threshold 4: the stress workloads cross it early and often,
          so the job queue, the install path and SMC cancellation all see
          real traffic. *)
@@ -590,26 +597,15 @@ let stress_cmd =
         }
       in
       let run_one ~config kind =
-        let e =
-          match kind with
-          | `Arm -> Captive.Engine.create ~config (Guest_arm.Arm.ops ())
-          | `Riscv -> Captive.Engine.create ~config (Guest_riscv.Riscv.ops ())
-        in
-        Fun.protect
-          ~finally:(fun () -> Captive.Engine.shutdown e)
-          (fun () ->
+        let e, code =
+          boot ~config
             (match kind with
-            | `Arm ->
-              Workloads.Kernel.install (Workloads.Kernel.captive_target e)
-                ~user:(Workloads.Mmu_stress.arm_user ())
-            | `Riscv ->
-              Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                (Workloads.Mmu_stress.riscv_image ());
-              Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry);
-            let code = exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e) in
-            (* One final sweep so even a quiet run ends with a checkpoint. *)
-            Captive.Engine.sanitize_check e ~reason:"final";
-            (e, code))
+            | `Arm -> Arm_user (Workloads.Mmu_stress.arm_user ())
+            | `Riscv -> Riscv_mmu)
+        in
+        (* One final sweep so even a quiet run ends with a checkpoint. *)
+        Captive.Engine.sanitize_check e ~reason:"final";
+        (e, code)
       in
       let workloads =
         [ ("armv8-a-mmu", `Arm, Workloads.Mmu_stress.arm_expected_exit);
@@ -742,20 +738,7 @@ type bench_row = {
 
 let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
   let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-  let exit_of = function
-    | Captive.Engine.Poweroff c -> c
-    | Captive.Engine.Cycle_limit -> -2
-    | Captive.Engine.Block_limit -> -3
-  in
-  let run_captive config =
-    let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-    Fun.protect
-      ~finally:(fun () -> Captive.Engine.shutdown e)
-      (fun () ->
-        Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-        let code = exit_of (Captive.Engine.run ~max_cycles:50_000_000_000 e) in
-        (e, code))
-  in
+  let run_captive config = boot ~config ~max_cycles:50_000_000_000 (Arm_user user) in
   let e_t, code_t =
     let c = { Captive.Engine.default_config with Captive.Engine.domains } in
     let c =
@@ -1028,6 +1011,93 @@ let bench_cmd =
 
 (* --- validate ------------------------------------------------------------------------ *)
 
+(* --- checker sweeps (validate, analyze, relocheck) ----------------------------------- *)
+
+(* The checker sweeps' workload matrix: name, program, expected exit
+   code.  Each sweep boots every workload at every offline level O1-O4. *)
+let sweep_workloads () =
+  let spec name = Arm_user ((Workloads.Spec.find name).Workloads.Spec.build ~scale:1) in
+  [ ("armv8-a-boot", Arm_user (demo_user ()), 0);
+    ("armv8-a-mmu", Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
+    ("armv8-a-libquantum", spec "462.libquantum", 8);
+    ("armv8-a-mcf", spec "429.mcf", 0);
+    ("armv8-a-perlbench", spec "400.perlbench", 212);
+    ("armv8-a-sjeng", spec "458.sjeng", 35);
+    ("armv8-a-gobmk", spec "445.gobmk", 64);
+    ("armv8-a-omnetpp", spec "471.omnetpp", 220);
+    ("armv8-a-xalancbmk", spec "483.xalancbmk", 0);
+    ("rv64im-mmu", Riscv_mmu, Workloads.Mmu_stress.riscv_expected_exit);
+  ]
+
+let sweep_workload_arg =
+  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
+         ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
+
+let sweep_level_arg =
+  Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
+         ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
+
+(* What one checker reports for one workload/level run: its finding
+   count and log, and its own fields of the JSON and human rows. *)
+type sweep_row = {
+  sr_findings : int;
+  sr_log : (string * string) list; (* newest first, as the engine keeps it *)
+  sr_json : string;
+  sr_human : string;
+}
+
+(* Run one checker sweep: boot the (filtered) matrix with [config], let
+   [check] account each engine's counters into the summary, and fail on
+   any finding or wrong guest exit code.  With [json], stdout carries
+   one object per workload/level pair plus a summary line; findings go
+   to stderr. *)
+let checker_sweep ~cmd ~doing ~width ~config ~json ~workload ~level check =
+  let failures = ref 0 in
+  let summary = Counters.create () in
+  let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
+  let shout line = if json then prerr_endline line else print_endline line in
+  let workloads =
+    List.filter (fun (n, _, _) -> workload = "all" || workload = n) (sweep_workloads ())
+  in
+  let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
+  say "%s: %d workload(s) x %d level(s) with %s\n%!" cmd (List.length workloads)
+    (List.length levels) doing;
+  List.iter
+    (fun level ->
+      List.iter
+        (fun (name, program, expected) ->
+          let e, code = boot ~config ~level program in
+          let row = check summary e in
+          if row.sr_findings > 0 then begin
+            failures := !failures + row.sr_findings;
+            List.iter
+              (fun (what, detail) ->
+                shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
+              (List.rev row.sr_log)
+          end;
+          if code <> expected then begin
+            incr failures;
+            shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
+          end;
+          if json then
+            Printf.printf
+              "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,%s}\n"
+              (Dbt_util.Stats.json_string name)
+              level code expected row.sr_json
+          else say "%-*s O%d: exit %d (expected %d), %s\n%!" width name level code expected row.sr_human)
+        workloads)
+    levels;
+  if json then
+    Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
+      (List.length workloads * List.length levels)
+      !failures (Counters.to_json summary)
+  else say "\n%s counters:\n%s" cmd (Counters.report summary);
+  if !failures = 0 then begin
+    if not json then Printf.printf "%s: no findings\n" cmd;
+    `Ok ()
+  end
+  else `Error (false, Printf.sprintf "%s: %d finding(s)" cmd !failures)
+
 (* End-to-end symbolic translation validation (Hostir.Equiv): boot the
    ARM mini-OS demo, the ARM MMU-stress workload and the RISC-V
    bare-metal MMU-stress image with `validate_translations` enabled, at
@@ -1053,126 +1123,47 @@ let validate_cmd =
            ~doc:"Validate every Nth translated tier-0 block (regions are always \
                  validated).  1 validates everything.")
   in
-  let workload =
-    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
-  in
-  let level =
-    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
-  in
   let run json every workload level =
     if every < 1 then `Error (true, "--every must be >= 1")
-    else begin
-      let failures = ref 0 in
-      let summary = Counters.create () in
-      let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-      let shout line = if json then prerr_endline line else print_endline line in
+    else
       let config =
         { Captive.Engine.default_config with
           Captive.Engine.validate_translations = true;
           validate_every = every;
         }
       in
-      let exit_of = function
-        | Captive.Engine.Poweroff c -> c
-        | Captive.Engine.Cycle_limit -> -2
-        | Captive.Engine.Block_limit -> -3
-      in
-      let boot_user = demo_user () in
-      let spec name = (Workloads.Spec.find name).Workloads.Spec.build ~scale:1 in
-      let workloads =
-        List.filter
-          (fun (n, _, _) -> workload = "all" || workload = n)
-          [ ("armv8-a-boot", `Arm_user boot_user, 0);
-            ("armv8-a-mmu", `Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
-            ("armv8-a-libquantum", `Arm_user (spec "462.libquantum"), 8);
-            ("armv8-a-mcf", `Arm_user (spec "429.mcf"), 0);
-            ("armv8-a-perlbench", `Arm_user (spec "400.perlbench"), 212);
-            ("armv8-a-sjeng", `Arm_user (spec "458.sjeng"), 35);
-            ("armv8-a-gobmk", `Arm_user (spec "445.gobmk"), 64);
-            ("armv8-a-omnetpp", `Arm_user (spec "471.omnetpp"), 220);
-            ("armv8-a-xalancbmk", `Arm_user (spec "483.xalancbmk"), 0);
-            ("rv64im-mmu", `Riscv_image, Workloads.Mmu_stress.riscv_expected_exit);
-          ]
-      in
-      let levels =
-        List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ]
-      in
-      say "validate: %d workload(s) x %d level(s) with symbolic translation validation\n%!"
-        (List.length workloads) (List.length levels);
-      List.iter
-        (fun level ->
-          List.iter
-            (fun (name, kind, expected) ->
-              let e, code =
-                match kind with
-                | `Arm_user user ->
-                  let e =
-                    Captive.Engine.create ~config (Guest_arm.Arm.ops ~opt_level:level ())
-                  in
-                  Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-                  (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-                | `Riscv_image ->
-                  let e =
-                    Captive.Engine.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ())
-                  in
-                  Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                    (Workloads.Mmu_stress.riscv_image ());
-                  Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-                  (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-              in
-              let s = e.Captive.Engine.stats in
-              let nb = s.Captive.Engine.blocks_validated in
-              let nr = s.Captive.Engine.regions_validated in
-              let nf = s.Captive.Engine.validation_findings in
-              let nbd = s.Captive.Engine.validations_bounded in
-              Counters.bump summary "programs validated" ~by:(nb + nr);
-              Counters.bump summary "blocks validated" ~by:nb;
-              Counters.bump summary "regions validated" ~by:nr;
-              Counters.bump summary "divergence findings" ~by:nf;
-              Counters.bump summary "bounded checks" ~by:nbd;
-              if nf > 0 then begin
-                failures := !failures + nf;
-                List.iter
-                  (fun (what, detail) ->
-                    shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-                  (List.rev e.Captive.Engine.validation_log)
-              end;
-              if code <> expected then begin
-                incr failures;
-                shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
-              end;
-              let ms = 1000. *. s.Captive.Engine.t_validate in
-              let per = ms /. float_of_int (max 1 (nb + nr)) in
-              if json then
-                Printf.printf
-                  "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_validated\":%d,\"regions_validated\":%d,\"findings\":%d,\"bounded\":%d,\"validate_ms\":%.1f,\"ms_per_program\":%.3f}\n"
-                  (Dbt_util.Stats.json_string name)
-                  level code expected nb nr nf nbd ms per
-              else
-                say
-                  "%-14s O%d: exit %d (expected %d), %4d blocks + %2d regions validated, %d finding(s), %d bounded, %6.1fms (%.2fms/program)\n%!"
-                  name level code expected nb nr nf nbd ms per)
-            workloads)
-        levels;
-      if json then
-        Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
-          (List.length workloads * List.length levels)
-          !failures (Counters.to_json summary)
-      else say "\nvalidate counters:\n%s" (Counters.report summary);
-      if !failures = 0 then begin
-        if not json then print_endline "validate: no findings";
-        `Ok ()
-      end
-      else `Error (false, Printf.sprintf "validate: %d finding(s)" !failures)
-    end
+      checker_sweep ~cmd:"validate" ~doing:"symbolic translation validation" ~width:14 ~config
+        ~json ~workload ~level (fun summary e ->
+          let s = e.Captive.Engine.stats in
+          let nb = s.Captive.Engine.blocks_validated in
+          let nr = s.Captive.Engine.regions_validated in
+          let nf = s.Captive.Engine.validation_findings in
+          let nbd = s.Captive.Engine.validations_bounded in
+          Counters.bump summary "programs validated" ~by:(nb + nr);
+          Counters.bump summary "blocks validated" ~by:nb;
+          Counters.bump summary "regions validated" ~by:nr;
+          Counters.bump summary "divergence findings" ~by:nf;
+          Counters.bump summary "bounded checks" ~by:nbd;
+          let ms = 1000. *. s.Captive.Engine.t_validate in
+          let per = ms /. float_of_int (max 1 (nb + nr)) in
+          {
+            sr_findings = nf;
+            sr_log = e.Captive.Engine.validation_log;
+            sr_json =
+              Printf.sprintf
+                "\"blocks_validated\":%d,\"regions_validated\":%d,\"findings\":%d,\"bounded\":%d,\"validate_ms\":%.1f,\"ms_per_program\":%.3f"
+                nb nr nf nbd ms per;
+            sr_human =
+              Printf.sprintf
+                "%4d blocks + %2d regions validated, %d finding(s), %d bounded, %6.1fms (%.2fms/program)"
+                nb nr nf nbd ms per;
+          })
   in
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Symbolically validate every translation formed while running the ARM and \
              RISC-V workloads at O1-O4 against an unoptimized reference emission.")
-    Term.(ret (const run $ json $ every $ workload $ level))
+    Term.(ret (const run $ json $ every $ sweep_workload_arg $ sweep_level_arg))
 
 (* --- analyze ------------------------------------------------------------------------- *)
 
@@ -1194,124 +1185,48 @@ let analyze_cmd =
            ~doc:"Emit one counter object per workload/level pair plus a summary line as \
                  JSON on stdout; obligation findings go to stderr.")
   in
-  let workload =
-    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
-  in
-  let level =
-    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
-  in
   let run json workload level =
-    let failures = ref 0 in
-    let summary = Counters.create () in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
     let config =
       { Captive.Engine.default_config with Captive.Engine.analyze_translations = true }
     in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
-    let boot_user = demo_user () in
-    let spec name = (Workloads.Spec.find name).Workloads.Spec.build ~scale:1 in
-    let workloads =
-      List.filter
-        (fun (n, _, _) -> workload = "all" || workload = n)
-        [ ("armv8-a-boot", `Arm_user boot_user, 0);
-          ("armv8-a-mmu", `Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
-          ("armv8-a-libquantum", `Arm_user (spec "462.libquantum"), 8);
-          ("armv8-a-mcf", `Arm_user (spec "429.mcf"), 0);
-          ("armv8-a-perlbench", `Arm_user (spec "400.perlbench"), 212);
-          ("armv8-a-sjeng", `Arm_user (spec "458.sjeng"), 35);
-          ("armv8-a-gobmk", `Arm_user (spec "445.gobmk"), 64);
-          ("armv8-a-omnetpp", `Arm_user (spec "471.omnetpp"), 220);
-          ("armv8-a-xalancbmk", `Arm_user (spec "483.xalancbmk"), 0);
-          ("rv64im-mmu", `Riscv_image, Workloads.Mmu_stress.riscv_expected_exit);
-        ]
-    in
-    let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
-    say "analyze: %d workload(s) x %d level(s) with translate-time obligation checking\n%!"
-      (List.length workloads) (List.length levels);
-    List.iter
-      (fun level ->
-        List.iter
-          (fun (name, kind, expected) ->
-            let e, code =
-              match kind with
-              | `Arm_user user ->
-                let e =
-                  Captive.Engine.create ~config (Guest_arm.Arm.ops ~opt_level:level ())
-                in
-                Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-              | `Riscv_image ->
-                let e =
-                  Captive.Engine.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ())
-                in
-                Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                  (Workloads.Mmu_stress.riscv_image ());
-                Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-            in
-            let s = e.Captive.Engine.stats in
-            let nb = s.Captive.Engine.blocks_analyzed in
-            let nr = s.Captive.Engine.regions_analyzed in
-            let nf = s.Captive.Engine.obligation_findings in
-            Counters.bump summary "programs analyzed" ~by:(nb + nr);
-            Counters.bump summary "blocks analyzed" ~by:nb;
-            Counters.bump summary "regions analyzed" ~by:nr;
-            Counters.bump summary "obligation findings" ~by:nf;
-            Counters.bump summary "absint branches folded" ~by:s.Captive.Engine.absint_branches_folded;
-            Counters.bump summary "absint consts folded" ~by:s.Captive.Engine.absint_consts_folded;
-            Counters.bump summary "absint masks dropped" ~by:s.Captive.Engine.absint_masks_dropped;
-            Counters.bump summary "absint divs reduced" ~by:s.Captive.Engine.absint_divs_reduced;
-            Counters.bump summary "absint dead deleted" ~by:s.Captive.Engine.absint_dead_deleted;
-            if nf > 0 then begin
-              failures := !failures + nf;
-              List.iter
-                (fun (what, detail) ->
-                  shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-                (List.rev e.Captive.Engine.analysis_log)
-            end;
-            if code <> expected then begin
-              incr failures;
-              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
-            end;
-            let ms = 1000. *. s.Captive.Engine.t_analyze in
-            let per = ms /. float_of_int (max 1 (nb + nr)) in
-            if json then
-              Printf.printf
-                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_analyzed\":%d,\"regions_analyzed\":%d,\"findings\":%d,\"branches_folded\":%d,\"consts_folded\":%d,\"masks_dropped\":%d,\"divs_reduced\":%d,\"dead_deleted\":%d,\"analyze_ms\":%.1f,\"ms_per_program\":%.3f}\n"
-                (Dbt_util.Stats.json_string name)
-                level code expected nb nr nf s.Captive.Engine.absint_branches_folded
-                s.Captive.Engine.absint_consts_folded s.Captive.Engine.absint_masks_dropped
-                s.Captive.Engine.absint_divs_reduced s.Captive.Engine.absint_dead_deleted ms per
-            else
-              say
-                "%-20s O%d: exit %d (expected %d), %5d blocks + %3d regions analyzed, %d finding(s), %6.1fms (%.3fms/program)\n%!"
-                name level code expected nb nr nf ms per)
-          workloads)
-      levels;
-    if json then
-      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
-        (List.length workloads * List.length levels)
-        !failures (Counters.to_json summary)
-    else say "\nanalyze counters:\n%s" (Counters.report summary);
-    if !failures = 0 then begin
-      if not json then print_endline "analyze: no findings";
-      `Ok ()
-    end
-    else `Error (false, Printf.sprintf "analyze: %d finding(s)" !failures)
+    checker_sweep ~cmd:"analyze" ~doing:"translate-time obligation checking" ~width:20 ~config
+      ~json ~workload ~level (fun summary e ->
+        let s = e.Captive.Engine.stats in
+        let nb = s.Captive.Engine.blocks_analyzed in
+        let nr = s.Captive.Engine.regions_analyzed in
+        let nf = s.Captive.Engine.obligation_findings in
+        Counters.bump summary "programs analyzed" ~by:(nb + nr);
+        Counters.bump summary "blocks analyzed" ~by:nb;
+        Counters.bump summary "regions analyzed" ~by:nr;
+        Counters.bump summary "obligation findings" ~by:nf;
+        Counters.bump summary "absint branches folded" ~by:s.Captive.Engine.absint_branches_folded;
+        Counters.bump summary "absint consts folded" ~by:s.Captive.Engine.absint_consts_folded;
+        Counters.bump summary "absint masks dropped" ~by:s.Captive.Engine.absint_masks_dropped;
+        Counters.bump summary "absint divs reduced" ~by:s.Captive.Engine.absint_divs_reduced;
+        Counters.bump summary "absint dead deleted" ~by:s.Captive.Engine.absint_dead_deleted;
+        let ms = 1000. *. s.Captive.Engine.t_analyze in
+        let per = ms /. float_of_int (max 1 (nb + nr)) in
+        {
+          sr_findings = nf;
+          sr_log = e.Captive.Engine.analysis_log;
+          sr_json =
+            Printf.sprintf
+              "\"blocks_analyzed\":%d,\"regions_analyzed\":%d,\"findings\":%d,\"branches_folded\":%d,\"consts_folded\":%d,\"masks_dropped\":%d,\"divs_reduced\":%d,\"dead_deleted\":%d,\"analyze_ms\":%.1f,\"ms_per_program\":%.3f"
+              nb nr nf s.Captive.Engine.absint_branches_folded
+              s.Captive.Engine.absint_consts_folded s.Captive.Engine.absint_masks_dropped
+              s.Captive.Engine.absint_divs_reduced s.Captive.Engine.absint_dead_deleted ms per;
+          sr_human =
+            Printf.sprintf
+              "%5d blocks + %3d regions analyzed, %d finding(s), %6.1fms (%.3fms/program)" nb nr
+              nf ms per;
+        })
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Check translate-time static obligations (register-file bounds, frame bounds, \
              writeback discipline) on every translation formed while running the ARM and \
              RISC-V workloads at O1-O4.")
-    Term.(ret (const run $ json $ workload $ level))
+    Term.(ret (const run $ json $ sweep_workload_arg $ sweep_level_arg))
 
 (* --- relocheck ----------------------------------------------------------------------- *)
 
@@ -1335,117 +1250,39 @@ let relocheck_cmd =
            ~doc:"Emit one counter object per workload/level pair plus a summary line as \
                  JSON on stdout; relocation findings go to stderr.")
   in
-  let workload =
-    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
-  in
-  let level =
-    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
-  in
   let run json workload level =
-    let failures = ref 0 in
-    let summary = Counters.create () in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    let config =
-      { Captive.Engine.default_config with Captive.Engine.reloc_check = true }
-    in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
-    let boot_user = demo_user () in
-    let spec name = (Workloads.Spec.find name).Workloads.Spec.build ~scale:1 in
-    let workloads =
-      List.filter
-        (fun (n, _, _) -> workload = "all" || workload = n)
-        [ ("armv8-a-boot", `Arm_user boot_user, 0);
-          ("armv8-a-mmu", `Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
-          ("armv8-a-libquantum", `Arm_user (spec "462.libquantum"), 8);
-          ("armv8-a-mcf", `Arm_user (spec "429.mcf"), 0);
-          ("armv8-a-perlbench", `Arm_user (spec "400.perlbench"), 212);
-          ("armv8-a-sjeng", `Arm_user (spec "458.sjeng"), 35);
-          ("armv8-a-gobmk", `Arm_user (spec "445.gobmk"), 64);
-          ("armv8-a-omnetpp", `Arm_user (spec "471.omnetpp"), 220);
-          ("armv8-a-xalancbmk", `Arm_user (spec "483.xalancbmk"), 0);
-          ("rv64im-mmu", `Riscv_image, Workloads.Mmu_stress.riscv_expected_exit);
-        ]
-    in
-    let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
-    say "relocheck: %d workload(s) x %d level(s) with relocation-cleanliness certification\n%!"
-      (List.length workloads) (List.length levels);
-    List.iter
-      (fun level ->
-        List.iter
-          (fun (name, kind, expected) ->
-            let e, code =
-              match kind with
-              | `Arm_user user ->
-                let e =
-                  Captive.Engine.create ~config (Guest_arm.Arm.ops ~opt_level:level ())
-                in
-                Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-              | `Riscv_image ->
-                let e =
-                  Captive.Engine.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ())
-                in
-                Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                  (Workloads.Mmu_stress.riscv_image ());
-                Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-            in
-            let s = e.Captive.Engine.stats in
-            let nb = s.Captive.Engine.blocks_certified in
-            let nr = s.Captive.Engine.regions_certified in
-            let nf = s.Captive.Engine.reloc_findings in
-            Counters.bump summary "programs certified" ~by:(nb + nr);
-            Counters.bump summary "blocks certified" ~by:nb;
-            Counters.bump summary "regions certified" ~by:nr;
-            Counters.bump summary "relocation findings" ~by:nf;
-            if nf > 0 then begin
-              failures := !failures + nf;
-              List.iter
-                (fun (what, detail) ->
-                  shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-                (List.rev (Captive.Engine.reloc_log e))
-            end;
-            if code <> expected then begin
-              incr failures;
-              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
-            end;
-            let ms = 1000. *. s.Captive.Engine.t_reloc in
-            let per = ms /. float_of_int (max 1 (nb + nr)) in
-            if json then
-              Printf.printf
-                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_certified\":%d,\"regions_certified\":%d,\"findings\":%d,\"relocheck_ms\":%.1f,\"ms_per_program\":%.3f}\n"
-                (Dbt_util.Stats.json_string name)
-                level code expected nb nr nf ms per
-            else
-              say
-                "%-20s O%d: exit %d (expected %d), %5d blocks + %3d regions certified, %d finding(s), %6.1fms (%.3fms/program)\n%!"
-                name level code expected nb nr nf ms per)
-          workloads)
-      levels;
-    if json then
-      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
-        (List.length workloads * List.length levels)
-        !failures (Counters.to_json summary)
-    else say "\nrelocheck counters:\n%s" (Counters.report summary);
-    if !failures = 0 then begin
-      if not json then print_endline "relocheck: no findings";
-      `Ok ()
-    end
-    else `Error (false, Printf.sprintf "relocheck: %d finding(s)" !failures)
+    let config = { Captive.Engine.default_config with Captive.Engine.reloc_check = true } in
+    checker_sweep ~cmd:"relocheck" ~doing:"relocation-cleanliness certification" ~width:20
+      ~config ~json ~workload ~level (fun summary e ->
+        let s = e.Captive.Engine.stats in
+        let nb = s.Captive.Engine.blocks_certified in
+        let nr = s.Captive.Engine.regions_certified in
+        let nf = s.Captive.Engine.reloc_findings in
+        Counters.bump summary "programs certified" ~by:(nb + nr);
+        Counters.bump summary "blocks certified" ~by:nb;
+        Counters.bump summary "regions certified" ~by:nr;
+        Counters.bump summary "relocation findings" ~by:nf;
+        let ms = 1000. *. s.Captive.Engine.t_reloc in
+        let per = ms /. float_of_int (max 1 (nb + nr)) in
+        {
+          sr_findings = nf;
+          sr_log = Captive.Engine.reloc_log e;
+          sr_json =
+            Printf.sprintf
+              "\"blocks_certified\":%d,\"regions_certified\":%d,\"findings\":%d,\"relocheck_ms\":%.1f,\"ms_per_program\":%.3f"
+              nb nr nf ms per;
+          sr_human =
+            Printf.sprintf
+              "%5d blocks + %3d regions certified, %d finding(s), %6.1fms (%.3fms/program)" nb nr
+              nf ms per;
+        })
   in
   Cmd.v
     (Cmd.info "relocheck"
        ~doc:"Certify every translation formed while running the ARM and RISC-V workloads \
              at O1-O4 relocation-clean (no absolute host addresses, numbered exits only, \
              environment references in bounds, deterministic encoding).")
-    Term.(ret (const run $ json $ workload $ level))
+    Term.(ret (const run $ json $ sweep_workload_arg $ sweep_level_arg))
 
 (* --- aot ----------------------------------------------------------------------------- *)
 
@@ -1488,11 +1325,6 @@ let aot_cmd =
     let root = match dir with Some d -> d | None -> "_captive_aot" in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
     let wipe d =
       if Sys.file_exists d && Sys.is_directory d then
         Array.iter
@@ -1516,10 +1348,7 @@ let aot_cmd =
             let config =
               { Captive.Engine.default_config with Captive.Engine.aot_dir = Some wdir }
             in
-            let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-            Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-            let code = exit_of (Captive.Engine.run ~max_cycles:50_000_000_000 e) in
-            (e, code)
+            boot ~config ~max_cycles:50_000_000_000 (Arm_user user)
           in
           let e_c, code_c = boot () in
           let e_w, code_w = boot () in
@@ -1655,7 +1484,7 @@ let mine_templates_cmd =
               in
               List.iter
                 (fun (el, mmu_on) ->
-                  let field = Captive.Engine.field_of ~el d in
+                  let field = Captive.Jit.field_of ~el d in
                   match
                     Hostir.Template.fragment tt ~action ~name:d.Adl.Decode.name ~inc_pc
                       ~mmu_on ~field
@@ -1752,11 +1581,6 @@ let templates_cmd =
     in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
     let config =
       let c = Captive.Engine.default_config in
       match hot_threshold with
@@ -1766,20 +1590,14 @@ let templates_cmd =
     let run_workload = function
       | `Spec name ->
         let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-        let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-        Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-        (name, e, exit_of (Captive.Engine.run ~max_cycles:50_000_000_000 e))
+        let e, code = boot ~config ~max_cycles:50_000_000_000 (Arm_user user) in
+        (name, e, code)
       | `Arm_mmu ->
-        let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-        Workloads.Kernel.install (Workloads.Kernel.captive_target e)
-          ~user:(Workloads.Mmu_stress.arm_user ());
-        ("armv8-a-mmu", e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
+        let e, code = boot ~config (Arm_user (Workloads.Mmu_stress.arm_user ())) in
+        ("armv8-a-mmu", e, code)
       | `Riscv_mmu ->
-        let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ()) in
-        Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-          (Workloads.Mmu_stress.riscv_image ());
-        Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-        ("rv64im-mmu", e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
+        let e, code = boot ~config Riscv_mmu in
+        ("rv64im-mmu", e, code)
     in
     let workloads =
       List.map (fun n -> `Spec n) bench_quick_names @ [ `Arm_mmu; `Riscv_mmu ]

@@ -1,8 +1,9 @@
 (* The Captive DBT hypervisor engine (paper Sec. 2.3, 2.4, 2.6, 2.7).
 
-   - Translations are produced by the four-phase pipeline: decode ->
-     translate (generator functions over the invocation DAG) -> register
-     allocation -> encode; each phase is timed for Fig. 20.
+   - Translations are produced by the pure four-phase pipeline in [Jit]
+     (decode -> translate -> register allocation -> encode); the engine
+     builds its requests, probes the AOT cache, and installs every
+     result through one [install].
    - The code cache is indexed by guest *physical* address (plus exception
      level and MMU regime); guest page-table changes do not invalidate it.
    - Guest page tables are mapped onto host page tables on demand by the
@@ -16,309 +17,17 @@
 module Exec = Hostir.Exec
 module Encode = Hostir.Encode
 module Dag = Hostir.Dag
-module Regalloc = Hostir.Regalloc
 module Hir = Hostir.Hir
 module Machine = Hvm.Machine
 module Cost = Hvm.Cost
 module Ops = Guest.Ops
 module Bits = Dbt_util.Bits
 
-type config = {
-  hw_fp : bool; (* hardware FP (Captive) vs softfloat helpers (Sec. 3.6.2) *)
-  chaining : bool;
-  pcid : bool; (* use PCIDs when switching address-space roots *)
-  split_va_check : bool; (* 64-bit guest address-space split handling *)
-  mem_size : int;
-  max_block : int; (* maximum guest instructions per translation block *)
-  sanitize : bool; (* shadow-oracle MMU invariant checking (Hvm.Sanitize) *)
-  sanitize_every : int; (* extra periodic checkpoint every N translated blocks *)
-  tiering : bool; (* tiered translation: profile tier-0 blocks, form hot regions *)
-  templates : bool; (* tier minus one: template-stitched cold translation
-                       (Hostir.Template); active only with [tiering], since
-                       promotion is what buys back code quality *)
-  hot_threshold : int; (* executions of a tier-0 block before promotion *)
-  region_max_blocks : int; (* maximum members in one region (all on one page) *)
-  promote : bool; (* region-scoped register promotion + memory redundancy elim *)
-  promote_max_regs : int; (* register-file offsets cached per region *)
-  (* symbolic translation validation (Hostir.Equiv): every accepted
-     translation is re-derived as an unoptimized reference emission and
-     checked for exit-point equivalence; any finding is a miscompile *)
-  validate_translations : bool;
-  validate_every : int; (* validate every Nth tier-0 block (regions: always) *)
-  (* static obligation checking (Hostir.Absint): every translation the
-     engine produces is analyzed at translate time — register-file
-     offsets in-bounds and aligned, spill slots inside the frame,
-     promoted-register discipline and writeback coverage *)
-  analyze_translations : bool;
-  (* the O4 absint-simplify region pass: fold branches with known
-     conditions, delete cross-block dead definitions, drop redundant
-     masks, strength-reduce division — on facts that only materialize
-     after region flattening and promotion *)
-  absint_simplify : bool;
-  (* relocation-cleanliness certification (Hostir.Reloc): every encoded
-     translation is analyzed at translate time — operands and control
-     transfers classified relocatable or pinned, encoding determinism
-     audited; any finding means the translation can't be persisted *)
-  reloc_check : bool;
-  (* persistent AOT translation cache directory: certified translations
-     are stored here and reinstalled (guest bytes verified, certificate
-     re-checked, chain/exit sites re-bound) instead of re-translated.
-     Implies certification of every translation. *)
-  aot_dir : string option;
-  (* concurrent JIT (OCaml 5 domains): total domains the engine may use.
-     1 = fully synchronous, bit-identical to the historical engine;
-     N > 1 spawns N-1 JIT worker domains that execute region-formation
-     jobs while the vCPU keeps running tier-0 code.  Not part of the
-     AOT config signature: the generated code is identical either way. *)
-  domains : int;
-  (* deterministic schedule jitter for the stress harness: seeds a PRNG
-     that perturbs when completed translation jobs are drained and
-     installed, widening the publish/invalidate race window without
-     giving up reproducibility. *)
-  stress_seed : int64 option;
-}
+(* The configuration and phase-stats records live with the translator
+   that reads and fills them; [Engine.config], [Engine.phase_stats] and
+   their fields are the same types. *)
+include Jit.Decls
 
-let default_config =
-  {
-    hw_fp = true;
-    chaining = true;
-    pcid = true;
-    split_va_check = true;
-    mem_size = 256 * 1024 * 1024;
-    max_block = 64;
-    sanitize = false;
-    sanitize_every = 32;
-    tiering = true;
-    templates = true;
-    hot_threshold = 64;
-    region_max_blocks = 8;
-    promote = true;
-    promote_max_regs = 4;
-    validate_translations = false;
-    validate_every = 1;
-    analyze_translations = false;
-    absint_simplify = true;
-    reloc_check = false;
-    aot_dir = None;
-    domains = 1;
-    stress_seed = None;
-  }
-
-type phase_stats = {
-  mutable t_decode : float;
-  mutable t_translate : float;
-  mutable t_regalloc : float;
-  mutable t_encode : float;
-  (* per-tier wall-time split of translation work: template stitching
-     (tier -1), cold block pipeline (tier 0), region formation (tier 1);
-     t_template covers mining + patching + stitching, the others cover
-     the whole pipeline pass for their tier *)
-  mutable t_template : float;
-  mutable t_tier0 : float;
-  mutable t_region : float;
-  mutable blocks_translated : int;
-  mutable guest_instrs_translated : int;
-  mutable host_instrs_emitted : int;
-  mutable host_bytes_emitted : int;
-  mutable dead_marked : int;
-  mutable spills : int;
-  mutable blocks_executed : int;
-  mutable chain_hits : int;
-  mutable smc_invalidations : int;
-  (* tiered translation *)
-  mutable promotions : int; (* tier-0 blocks that crossed the hotness threshold *)
-  mutable regions_formed : int; (* multi-block region translations built *)
-  mutable region_blocks : int; (* total member blocks across formed regions *)
-  mutable region_host_instrs : int; (* host instrs emitted for region units *)
-  mutable region_entries : int; (* dispatches that entered a region unit *)
-  mutable region_block_execs : int; (* member blocks executed inside regions *)
-  mutable region_dead_stores : int; (* cross-block dead register-file stores removed *)
-  (* register promotion / memory redundancy elimination (Promote) *)
-  mutable rf_promoted : int; (* register-file offsets promoted across regions *)
-  mutable region_wb_entries : int; (* writeback-map entries across regions *)
-  mutable mem_loads_elided : int; (* Mem_lds satisfied by a previous load *)
-  mutable stores_forwarded : int; (* Mem_lds satisfied by a previous store *)
-  (* symbolic translation validation (Hostir.Equiv) *)
-  mutable t_validate : float;
-  mutable blocks_validated : int; (* tier-0 blocks checked against the oracle *)
-  mutable regions_validated : int; (* tier-1 regions checked against the oracle *)
-  mutable validation_findings : int; (* equivalence divergences (miscompiles) *)
-  mutable validations_bounded : int; (* checks that hit a path/step bound *)
-  (* static obligation checking + absint-simplify (Hostir.Absint) *)
-  mutable t_analyze : float;
-  mutable blocks_analyzed : int; (* tier-0 blocks obligation-checked *)
-  mutable regions_analyzed : int; (* tier-1 regions obligation-checked *)
-  mutable obligation_findings : int; (* static obligation violations *)
-  mutable absint_branches_folded : int; (* Br with decided condition -> Jmp *)
-  mutable absint_consts_folded : int; (* pure results proved constant *)
-  mutable absint_masks_dropped : int; (* redundant masks/extensions elided *)
-  mutable absint_divs_reduced : int; (* unsigned div/rem by 2^k reduced *)
-  mutable absint_dead_deleted : int; (* cross-block dead definitions removed *)
-  (* relocation-cleanliness certification (Hostir.Reloc) *)
-  mutable t_reloc : float;
-  mutable translate_cycles : int; (* simulated cycles charged to translation/AOT *)
-  (* per-tier ledger split of [translate_cycles]: template installs
-     (stitch + patch + kind-2 AOT loads) vs the full pipeline (cold
-     blocks, regions, kind-0/1 AOT loads); the two always sum to
-     [translate_cycles] *)
-  mutable translate_cycles_template : int;
-  mutable translate_cycles_pipeline : int;
-  (* template tier (Hostir.Template) *)
-  mutable template_blocks : int; (* blocks installed by template stitching *)
-  mutable template_instrs : int; (* guest instructions those blocks cover *)
-  mutable template_misses : int; (* instructions with no usable template *)
-  mutable template_fallback_blocks : int; (* blocks that fell back to the cold pipeline *)
-  mutable templates_mined : int; (* template variants mined this run *)
-  mutable blocks_certified : int; (* tier-0 blocks certified relocation-clean *)
-  mutable regions_certified : int; (* region units certified relocation-clean *)
-  mutable reloc_findings : int; (* relocation-cleanliness violations *)
-  (* persistent AOT translation cache (Aotcache) *)
-  mutable aot_hits : int; (* translations installed from the cache *)
-  mutable aot_misses : int; (* sites with no reusable entry *)
-  mutable aot_stores : int; (* certified translations persisted *)
-  mutable aot_rejects : int; (* disk entries refused (corrupt or flagged) *)
-  (* concurrent JIT job accounting (domains > 1 only; all 0 when synchronous) *)
-  mutable jobs_enqueued : int; (* region jobs handed to the worker pool *)
-  mutable jobs_completed : int; (* worker results drained by the vCPU *)
-  mutable jobs_installed : int; (* results published into the sharded cache *)
-  mutable jobs_stale : int; (* results rejected at install: page generation or guest hash changed (SMC) *)
-  mutable jobs_cancelled : int; (* queued jobs dropped by invalidate_page before a worker took them *)
-  mutable jobs_dropped : int; (* enqueues refused because the bounded queue was full *)
-}
-
-let new_phase_stats () =
-  {
-    t_decode = 0.;
-    t_translate = 0.;
-    t_regalloc = 0.;
-    t_encode = 0.;
-    t_template = 0.;
-    t_tier0 = 0.;
-    t_region = 0.;
-    blocks_translated = 0;
-    guest_instrs_translated = 0;
-    host_instrs_emitted = 0;
-    host_bytes_emitted = 0;
-    dead_marked = 0;
-    spills = 0;
-    blocks_executed = 0;
-    chain_hits = 0;
-    smc_invalidations = 0;
-    promotions = 0;
-    regions_formed = 0;
-    region_blocks = 0;
-    region_host_instrs = 0;
-    region_entries = 0;
-    region_block_execs = 0;
-    region_dead_stores = 0;
-    rf_promoted = 0;
-    region_wb_entries = 0;
-    mem_loads_elided = 0;
-    stores_forwarded = 0;
-    t_validate = 0.;
-    blocks_validated = 0;
-    regions_validated = 0;
-    validation_findings = 0;
-    validations_bounded = 0;
-    t_analyze = 0.;
-    blocks_analyzed = 0;
-    regions_analyzed = 0;
-    obligation_findings = 0;
-    absint_branches_folded = 0;
-    absint_consts_folded = 0;
-    absint_masks_dropped = 0;
-    absint_divs_reduced = 0;
-    absint_dead_deleted = 0;
-    t_reloc = 0.;
-    translate_cycles = 0;
-    translate_cycles_template = 0;
-    translate_cycles_pipeline = 0;
-    template_blocks = 0;
-    template_instrs = 0;
-    template_misses = 0;
-    template_fallback_blocks = 0;
-    templates_mined = 0;
-    blocks_certified = 0;
-    regions_certified = 0;
-    reloc_findings = 0;
-    aot_hits = 0;
-    aot_misses = 0;
-    aot_stores = 0;
-    aot_rejects = 0;
-    jobs_enqueued = 0;
-    jobs_completed = 0;
-    jobs_installed = 0;
-    jobs_stale = 0;
-    jobs_cancelled = 0;
-    jobs_dropped = 0;
-  }
-
-(* Merge a stats delta that a pure translation job accumulated
-   off-thread into the engine's totals.  Every field is additive. *)
-let add_stats (dst : phase_stats) (d : phase_stats) =
-  dst.t_decode <- dst.t_decode +. d.t_decode;
-  dst.t_translate <- dst.t_translate +. d.t_translate;
-  dst.t_regalloc <- dst.t_regalloc +. d.t_regalloc;
-  dst.t_encode <- dst.t_encode +. d.t_encode;
-  dst.t_template <- dst.t_template +. d.t_template;
-  dst.t_tier0 <- dst.t_tier0 +. d.t_tier0;
-  dst.t_region <- dst.t_region +. d.t_region;
-  dst.blocks_translated <- dst.blocks_translated + d.blocks_translated;
-  dst.guest_instrs_translated <- dst.guest_instrs_translated + d.guest_instrs_translated;
-  dst.host_instrs_emitted <- dst.host_instrs_emitted + d.host_instrs_emitted;
-  dst.host_bytes_emitted <- dst.host_bytes_emitted + d.host_bytes_emitted;
-  dst.dead_marked <- dst.dead_marked + d.dead_marked;
-  dst.spills <- dst.spills + d.spills;
-  dst.blocks_executed <- dst.blocks_executed + d.blocks_executed;
-  dst.chain_hits <- dst.chain_hits + d.chain_hits;
-  dst.smc_invalidations <- dst.smc_invalidations + d.smc_invalidations;
-  dst.promotions <- dst.promotions + d.promotions;
-  dst.regions_formed <- dst.regions_formed + d.regions_formed;
-  dst.region_blocks <- dst.region_blocks + d.region_blocks;
-  dst.region_host_instrs <- dst.region_host_instrs + d.region_host_instrs;
-  dst.region_entries <- dst.region_entries + d.region_entries;
-  dst.region_block_execs <- dst.region_block_execs + d.region_block_execs;
-  dst.region_dead_stores <- dst.region_dead_stores + d.region_dead_stores;
-  dst.rf_promoted <- dst.rf_promoted + d.rf_promoted;
-  dst.region_wb_entries <- dst.region_wb_entries + d.region_wb_entries;
-  dst.mem_loads_elided <- dst.mem_loads_elided + d.mem_loads_elided;
-  dst.stores_forwarded <- dst.stores_forwarded + d.stores_forwarded;
-  dst.t_validate <- dst.t_validate +. d.t_validate;
-  dst.blocks_validated <- dst.blocks_validated + d.blocks_validated;
-  dst.regions_validated <- dst.regions_validated + d.regions_validated;
-  dst.validation_findings <- dst.validation_findings + d.validation_findings;
-  dst.validations_bounded <- dst.validations_bounded + d.validations_bounded;
-  dst.t_analyze <- dst.t_analyze +. d.t_analyze;
-  dst.blocks_analyzed <- dst.blocks_analyzed + d.blocks_analyzed;
-  dst.regions_analyzed <- dst.regions_analyzed + d.regions_analyzed;
-  dst.obligation_findings <- dst.obligation_findings + d.obligation_findings;
-  dst.absint_branches_folded <- dst.absint_branches_folded + d.absint_branches_folded;
-  dst.absint_consts_folded <- dst.absint_consts_folded + d.absint_consts_folded;
-  dst.absint_masks_dropped <- dst.absint_masks_dropped + d.absint_masks_dropped;
-  dst.absint_divs_reduced <- dst.absint_divs_reduced + d.absint_divs_reduced;
-  dst.absint_dead_deleted <- dst.absint_dead_deleted + d.absint_dead_deleted;
-  dst.t_reloc <- dst.t_reloc +. d.t_reloc;
-  dst.translate_cycles <- dst.translate_cycles + d.translate_cycles;
-  dst.translate_cycles_template <- dst.translate_cycles_template + d.translate_cycles_template;
-  dst.translate_cycles_pipeline <- dst.translate_cycles_pipeline + d.translate_cycles_pipeline;
-  dst.template_blocks <- dst.template_blocks + d.template_blocks;
-  dst.template_instrs <- dst.template_instrs + d.template_instrs;
-  dst.template_misses <- dst.template_misses + d.template_misses;
-  dst.template_fallback_blocks <- dst.template_fallback_blocks + d.template_fallback_blocks;
-  dst.templates_mined <- dst.templates_mined + d.templates_mined;
-  dst.blocks_certified <- dst.blocks_certified + d.blocks_certified;
-  dst.regions_certified <- dst.regions_certified + d.regions_certified;
-  dst.reloc_findings <- dst.reloc_findings + d.reloc_findings;
-  dst.aot_hits <- dst.aot_hits + d.aot_hits;
-  dst.aot_misses <- dst.aot_misses + d.aot_misses;
-  dst.aot_stores <- dst.aot_stores + d.aot_stores;
-  dst.aot_rejects <- dst.aot_rejects + d.aot_rejects;
-  dst.jobs_enqueued <- dst.jobs_enqueued + d.jobs_enqueued;
-  dst.jobs_completed <- dst.jobs_completed + d.jobs_completed;
-  dst.jobs_installed <- dst.jobs_installed + d.jobs_installed;
-  dst.jobs_stale <- dst.jobs_stale + d.jobs_stale;
-  dst.jobs_cancelled <- dst.jobs_cancelled + d.jobs_cancelled;
-  dst.jobs_dropped <- dst.jobs_dropped + d.jobs_dropped
 
 type translation = {
   t_key : int64 * int * bool;
@@ -344,64 +53,42 @@ type translation = {
   t_exits : (int64 * int * translation) option array;
 }
 
-(* --- concurrent JIT: pure translation jobs on worker domains --------------------- *)
+(* Unlink every chain edge into the [gone] records, and drop their own
+   outgoing edges.  A chain hit bypasses the cache, so an edge surviving
+   into a replaced or invalidated record would re-enter stale code; and
+   the dispatch loop may still hold a gone record as its current block,
+   which must not chain onward.  Called wherever a published record is
+   replaced (install) or removed (SMC invalidation). *)
+let unlink_edges_into (cache : translation Codecache.t) (gone : translation list) =
+  let unlink = function Some (_, _, tgt) when List.memq tgt gone -> None | edge -> edge in
+  Codecache.iter
+    (fun _ tr ->
+      tr.t_chain <- unlink tr.t_chain;
+      Array.iteri (fun i edge -> tr.t_exits.(i) <- unlink edge) tr.t_exits)
+    cache;
+  List.iter
+    (fun tr ->
+      tr.t_chain <- None;
+      Array.fill tr.t_exits 0 (Array.length tr.t_exits) None)
+    gone
 
-(* Everything the pure job runner may read: immutable configuration
-   captured at engine creation.  A worker domain never touches the
-   engine record, the machine, or live guest memory — translation is a
-   function (guest bytes, regime, config) -> (encoded program, stats). *)
-type jit_env = {
-  je_guest : Ops.ops;
-  je_config : config;
-  je_n_helpers : int; (* helper symbol table size, for Reloc env bounds *)
-  je_rf_bytes : int; (* guest register file size, for Reloc env bounds *)
-}
+(* Send a promoted head whose region was dropped back to tier-0
+   profiling, so it crosses the hot threshold again and retries. *)
+let demote (head : translation) =
+  head.t_tier <- 0;
+  head.t_exec_count <- 0
 
-type member_desc = {
-  md_va : int64;
-  md_off : int; (* byte offset of the member's code in the page snapshot *)
-  md_succs : int64 list; (* profiled successor VAs, hottest first *)
-}
+(* --- concurrent JIT: region jobs on worker domains ------------------------------ *)
 
-(* A region-formation job: guest-PA range + EL/MMU regime in, certified
-   encoded program out.  The guest bytes travel as a snapshot of the
-   head's page taken at enqueue time (regions never cross a page), so
-   the job stays pure even while the vCPU keeps mutating guest memory. *)
-type region_request = {
-  rq_head_va : int64;
-  rq_pa_page : int64;
-  rq_el : int;
-  rq_mmu : bool;
-  rq_members : member_desc list;
-  rq_snapshot : bytes; (* the head page's 4 KiB at enqueue time *)
-}
-
-(* What the worker hands back: the encoded program plus the stats delta
-   and capped finding logs it accumulated, merged on the vCPU at
-   install time. *)
-type region_result = {
-  r_program : Encode.program;
-  r_code : bytes;
-  r_cert : Hostir.Reloc.certificate option;
-  r_n_guest : int;
-  r_n_host : int;
-  r_n_slots : int;
-  r_n_exits : int;
-  r_stats : phase_stats;
-  r_validation_log : (string * string) list;
-  r_analysis_log : (string * string) list;
-  r_reloc_log : (string * string) list;
-}
-
-type job_outcome = R_ok of region_result | R_exn of exn
-
+(* A region request in flight: the pure part a worker reads, plus the
+   vCPU-side records (head first) and the two tokens that gate the
+   eventual install against SMC while the job ran. *)
 type region_job = {
-  j_req : region_request; (* the pure part: all a worker reads *)
-  j_head : translation; (* vCPU-side records, for install bookkeeping only *)
+  j_req : Jit.request;
   j_members : translation list;
   j_gen : int; (* code-cache page generation at enqueue: the tombstone token *)
   j_guest_hash : int64; (* Reloc.hash64 over the members' guest bytes at enqueue *)
-  mutable j_outcome : job_outcome option; (* written by the worker under the pool lock *)
+  mutable j_outcome : (Jit.result, exn) result option; (* written by the worker under the pool lock *)
 }
 
 (* Bounded work queue + completion list; one mutex covers both (the
@@ -452,17 +139,13 @@ type t = {
   aot : Aotcache.t option;
   mutable reloc_log : (string * string) list; (* (context, finding), capped *)
   (* concurrent JIT *)
-  jenv : jit_env;
+  jenv : Jit.jit_env;
   mutable pool : pool option; (* spawned on first enqueue when domains > 1 *)
   stress_prng : Dbt_util.Prng.t option; (* drain-schedule jitter (stress_seed) *)
-  (* template tier: the per-guest template table (mined lazily, so it
-     doubles as a warm-up memo of the offline mine-templates artifact)
-     and the per-opcode miss table behind the coverage report *)
-  mutable templates : Hostir.Template.t option;
+  (* template tier: the per-opcode miss table behind the coverage
+     report (the template table itself lives in [jenv]) *)
   template_miss : (string, int) Hashtbl.t;
 }
-
-let now () = Unix.gettimeofday ()
 
 let trace e fmt =
   if e.tracing && e.trace_events < 400 then begin
@@ -490,12 +173,6 @@ let make_machine config =
   in
   let machine = Machine.create ~mem_size:config.mem_size ~devices ~intc () in
   (machine, uart, timer, syscon)
-
-let lower_intrinsic config name : Dag.lowering =
-  let is_fp = String.length name > 2 && (String.sub name 0 2 = "fp" || String.length name > 4 && String.sub name 0 4 = "sint" || String.sub name 0 4 = "uint") in
-  if (not config.hw_fp) && is_fp then
-    match Common.softfloat_index name with Some h -> Dag.L_helper h | None -> Dag.L_inline
-  else Dag.L_inline
 
 let rec create ?(config = default_config) (guest : Ops.ops) : t =
   let machine, uart, timer, syscon = make_machine config in
@@ -597,12 +274,8 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
   let fault_handler ctx access va ~bits ~value = handle_fault (engine ()) ctx access va ~bits ~value in
   let ctx = Exec.create ~machine ~helpers ~fault_handler in
   let jenv =
-    {
-      je_guest = guest;
-      je_config = config;
-      je_n_helpers = Array.length helpers;
-      je_rf_bytes = Bytes.length ctx.Exec.regfile;
-    }
+    Jit.env ~config ~n_helpers:(Array.length helpers) ~rf_bytes:(Bytes.length ctx.Exec.regfile)
+      guest
   in
   let e =
     {
@@ -631,7 +304,6 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
       jenv;
       pool = None;
       stress_prng = Option.map Dbt_util.Prng.create config.stress_seed;
-      templates = None;
       template_miss = Hashtbl.create 32;
     }
   in
@@ -684,7 +356,7 @@ and invalidate_page e phys_page =
   | Some p ->
     Mutex.lock p.p_mu;
     let cancelled, kept =
-      List.partition (fun j -> Int64.equal j.j_req.rq_pa_page phys_page) p.p_pending
+      List.partition (fun j -> Int64.equal j.j_req.Jit.rq_pa_page phys_page) p.p_pending
     in
     p.p_pending <- kept;
     Mutex.unlock p.p_mu;
@@ -693,30 +365,8 @@ and invalidate_page e phys_page =
      published — the tombstone must outlive the cache contents. *)
   let removed = Codecache.invalidate_page e.cache phys_page in
   if removed <> [] then begin
-    (* Unlink every chain edge targeting an invalidated translation: a
-       chain hit bypasses the cache, so a surviving edge would re-enter
-       stale code after self-modification (fatal for a region unit, whose
-       members just got demoted). *)
-    Codecache.iter
-      (fun _ tr ->
-        (match tr.t_chain with
-        | Some (_, _, tgt) when List.memq tgt removed -> tr.t_chain <- None
-        | _ -> ());
-        Array.iteri
-          (fun i edge ->
-            match edge with
-            | Some (_, _, tgt) when List.memq tgt removed -> tr.t_exits.(i) <- None
-            | _ -> ())
-          tr.t_exits)
-      e.cache;
-    (* Also the removed records' own outgoing edges: the dispatch loop may
-       still hold one of them as its current block (a block that rewrote
-       its own page), and must not chain onward into stale code. *)
-    List.iter
-      (fun tr ->
-        tr.t_chain <- None;
-        Array.fill tr.t_exits 0 (Array.length tr.t_exits) None)
-      removed;
+    (* Fatal for a region unit otherwise: its members just got demoted. *)
+    unlink_edges_into e.cache removed;
     e.stats.smc_invalidations <- e.stats.smc_invalidations + 1
   end;
   (* Static-analysis staleness audit: unlike chain edges, there is no
@@ -845,258 +495,9 @@ let fetch_translate (e : t) sys va : (int64, unit) result =
     end
     else Ok pa
 
-let field_of ~el (d : Adl.Decode.decoded) =
-  let el = Int64.of_int el in
-  fun name ->
-    if name = "__el" then el
-    else
-      match List.assoc_opt name d.Adl.Decode.field_values with
-      | Some v -> v
-      | None -> invalid_arg (Printf.sprintf "no field %s in %s" name d.Adl.Decode.name)
-
-let field_fn (e : t) sys (d : Adl.Decode.decoded) =
-  field_of ~el:(e.guest.Ops.privilege_level sys) d
-
-(* Decode one guest basic block starting at [va]/[pa]; returns the
-   decoded instructions in order, or [(..., true)] when the very first
-   instruction is undefined (the caller emits an exception stub). *)
-let decode_block (e : t) ~va ~pa : Adl.Decode.decoded list * bool =
-  let model = e.guest.Ops.model in
-  let decoded = ref [] in
-  let n = ref 0 in
-  let undefined_stub = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let insn_va = Int64.add va (Int64.of_int (4 * !n)) in
-    let insn_pa = Int64.add pa (Int64.of_int (4 * !n)) in
-    let word = Machine.phys_read e.machine ~bits:32 insn_pa in
-    match Ssa.Offline.decode model word with
-    | Some d ->
-      decoded := d :: !decoded;
-      incr n;
-      if d.Adl.Decode.ends_block || !n >= e.config.max_block
-         || Int64.logand insn_va 0xFFFL = 0xFFCL (* stop at page boundary *)
-      then continue_ := false
-    | None ->
-      if !n = 0 then undefined_stub := true;
-      continue_ := false
-  done;
-  (List.rev !decoded, !undefined_stub)
-
-(* Pure decode from a page snapshot: mirrors [decode_block]'s stop
-   conditions exactly, but reads the bytes captured at enqueue time —
-   never live guest memory, which the vCPU may be mutating while the
-   job runs on a worker domain.  [off] is the byte offset of [va]'s
-   code within the snapshot page. *)
-let decode_block_pure (je : jit_env) ~(snapshot : bytes) ~va ~off :
-    Adl.Decode.decoded list * bool =
-  let model = je.je_guest.Ops.model in
-  let decoded = ref [] in
-  let n = ref 0 in
-  let undefined_stub = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let insn_va = Int64.add va (Int64.of_int (4 * !n)) in
-    let word =
-      Int64.logand 0xFFFF_FFFFL
-        (Int64.of_int32 (Bytes.get_int32_le snapshot (off + (4 * !n))))
-    in
-    match Ssa.Offline.decode model word with
-    | Some d ->
-      decoded := d :: !decoded;
-      incr n;
-      if d.Adl.Decode.ends_block || !n >= je.je_config.max_block
-         || Int64.logand insn_va 0xFFFL = 0xFFCL (* stop at page boundary *)
-      then continue_ := false
-    | None ->
-      if !n = 0 then undefined_stub := true;
-      continue_ := false
-  done;
-  (List.rev !decoded, !undefined_stub)
-
-let dag_config_env (je : jit_env) ~mmu_on =
-  {
-    Dag.bank_offset = je.je_guest.Ops.bank_offset;
-    slot_offset = je.je_guest.Ops.slot_offset;
-    lower_intrinsic = lower_intrinsic je.je_config;
-    effect_helper = Common.effect_helper_index;
-    coproc_read_helper = Common.h_coproc_read;
-    coproc_write_helper = Common.h_coproc_write;
-    split_va_check = je.je_config.split_va_check && mmu_on;
-    as_switch_helper = Common.h_as_switch;
-  }
-
-let dag_config_of (e : t) ~mmu_on = dag_config_env e.jenv ~mmu_on
-
-(* The per-guest template table, created on first use (the Dag config
-   helpers above are not in scope at engine construction). *)
-let templates_of (e : t) : Hostir.Template.t =
-  match e.templates with
-  | Some tt -> tt
-  | None ->
-    let tt =
-      Hostir.Template.create
-        ~config:(fun ~mmu_on -> dag_config_of e ~mmu_on)
-        ~rf_bytes:e.jenv.je_rf_bytes ~insn_size:e.guest.Ops.insn_size
-    in
-    e.templates <- Some tt;
-    tt
-
-(* Finding logs are capped: counters keep exact totals, the logs keep
-   the first [log_cap] findings in discovery order. *)
-let log_cap = 64
-
-let append_capped (log : (string * string) list) (extra : (string * string) list) =
-  List.fold_left (fun acc it -> if List.length acc < log_cap then acc @ [ it ] else acc) log extra
-
-(* The [_into] recorders write to an explicit stats record and log ref
-   instead of the engine, so the pure job runner can account its work
-   into a private delta on a worker domain; the engine-side wrappers
-   below keep the historical call shape for the synchronous paths. *)
-
-(* Account one Equiv outcome: counters, plus a capped log of findings
-   (full detail, for the validate subcommand's JSON report). *)
-let record_validation_into ~(s : phase_stats) ~log ~what ~region (r : Hostir.Equiv.outcome) =
-  if region then s.regions_validated <- s.regions_validated + 1
-  else s.blocks_validated <- s.blocks_validated + 1;
-  if not r.Hostir.Equiv.complete then s.validations_bounded <- s.validations_bounded + 1;
-  if r.Hostir.Equiv.findings <> [] then begin
-    s.validation_findings <- s.validation_findings + List.length r.Hostir.Equiv.findings;
-    List.iter
-      (fun (f : Hostir.Equiv.finding) ->
-        if List.length !log < log_cap then
-          log :=
-            !log
-            @ [ (Printf.sprintf "%s: %s" what f.Hostir.Equiv.f_name, f.Hostir.Equiv.f_detail) ])
-      r.Hostir.Equiv.findings
-  end
-
-let record_validation (e : t) ~what ~region (r : Hostir.Equiv.outcome) =
-  let log = ref e.validation_log in
-  record_validation_into ~s:e.stats ~log ~what ~region r;
-  e.validation_log <- !log
-
-(* Account one static-analysis outcome: counters, plus a capped log of
-   findings (full detail, for the analyze subcommand's JSON report). *)
-let record_analysis_into ~(s : phase_stats) ~log ~what ~region
-    (findings : Hostir.Absint.finding list) =
-  if region then s.regions_analyzed <- s.regions_analyzed + 1
-  else s.blocks_analyzed <- s.blocks_analyzed + 1;
-  if findings <> [] then begin
-    s.obligation_findings <- s.obligation_findings + List.length findings;
-    List.iter
-      (fun (f : Hostir.Absint.finding) ->
-        if List.length !log < log_cap then
-          log := !log @ [ (what, Hostir.Absint.finding_to_string f) ])
-      findings
-  end
-
-(* Static obligation checking of one translation: the pre-allocation
-   stream carries the register-file and writeback-discipline
-   obligations, the allocated stream the spill-frame bounds. *)
-let analyze_translation_into ~(s : phase_stats) ~log ~what ~region ~promoted
-    ~(pre : Hir.instr array) (ra : Regalloc.result) =
-  let ta = now () in
-  let findings =
-    Hostir.Absint.check_translation ~classify:Common.helper_kind ~promoted pre
-    @ Hostir.Absint.check_frame ~n_slots:ra.Regalloc.n_slots ra.Regalloc.instrs
-  in
-  record_analysis_into ~s ~log ~what ~region findings;
-  s.t_analyze <- s.t_analyze +. (now () -. ta)
-
-let analyze_translation (e : t) ~what ~region ?(promoted = []) ~(pre : Hir.instr array)
-    (ra : Regalloc.result) =
-  let log = ref e.analysis_log in
-  analyze_translation_into ~s:e.stats ~log ~what ~region ~promoted ~pre ra;
-  e.analysis_log <- !log
-
-(* --- relocation-cleanliness certification + persistent AOT cache ----------------- *)
-
-(* Translation-side cycle charge: wall-clock cycles the guest pays for
-   JIT/AOT work, kept out of guest-visible device time (the Machine's
-   virtual-time split) so the guest's observable execution is identical
-   whether its code was translated cold or installed warm. *)
-let charge_translate_with (e : t) ~template n =
-  Machine.charge_jit e.machine n;
-  e.stats.translate_cycles <- e.stats.translate_cycles + n;
-  if template then
-    e.stats.translate_cycles_template <- e.stats.translate_cycles_template + n
-  else e.stats.translate_cycles_pipeline <- e.stats.translate_cycles_pipeline + n
-
-let charge_translate (e : t) n = charge_translate_with e ~template:false n
-
-(* Same ledger split as [charge_translate], plus the async sub-ledger:
-   cycles charged here were spent on a worker domain while the vCPU kept
-   executing, so [async_jit_cycles / jit_cycles] is the translate-stall
-   share the pool removed from the vCPU's critical path. *)
-let charge_translate_async (e : t) n =
-  Machine.charge_jit_async e.machine n;
-  e.stats.translate_cycles <- e.stats.translate_cycles + n;
-  e.stats.translate_cycles_pipeline <- e.stats.translate_cycles_pipeline + n
-
-let reloc_env_of (je : jit_env) ~n_exits ~n_slots : Hostir.Reloc.env =
-  {
-    Hostir.Reloc.n_exits;
-    n_helpers = je.je_n_helpers;
-    n_slots;
-    rf_bytes = je.je_rf_bytes;
-  }
-
-(* Signature over everything that changes generated code for the same
-   guest bytes: guest model identity (name, offline opt level, total SSA
-   size) plus every config field the translator consults.  Two boots may
-   exchange cache entries iff their signatures agree. *)
-let aot_cfg_sig (e : t) : int64 =
-  let c = e.config in
-  Hostir.Reloc.hash64
-    (Bytes.of_string
-       (Printf.sprintf "%s|%d|%d|%d|%b|%b|%b|%b|%d|%b|%d|%d|%b|%d|%b|%b" e.guest.Ops.name
-          e.guest.Ops.model.Ssa.Offline.opt_level
-          (Ssa.Offline.total_size e.guest.Ops.model)
-          e.guest.Ops.insn_size c.hw_fp c.chaining c.pcid c.split_va_check c.max_block
-          c.tiering c.hot_threshold c.region_max_blocks c.promote c.promote_max_regs
-          c.absint_simplify c.templates))
-
-(* Account one certification outcome: counters, plus a capped log of
-   findings (full detail, for the relocheck subcommand). *)
-let record_reloc_into ~(s : phase_stats) ~log ~what ~region
-    (findings : Hostir.Reloc.finding list) =
-  if findings = [] then
-    if region then s.regions_certified <- s.regions_certified + 1
-    else s.blocks_certified <- s.blocks_certified + 1
-  else begin
-    s.reloc_findings <- s.reloc_findings + List.length findings;
-    List.iter
-      (fun f ->
-        if List.length !log < log_cap then
-          log := !log @ [ (what, Hostir.Reloc.finding_to_string f) ])
-      findings
-  end
-
-(* Certify one encoded translation relocation-clean (operand/control
-   classification + encoding-determinism audit); [Some] carries the
-   certificate the AOT cache persists. *)
-let certify_translation_into (je : jit_env) ~(s : phase_stats) ~log ~what ~region ~n_exits
-    ~n_slots ?ra (code : bytes) : Hostir.Reloc.certificate option =
-  let t0 = now () in
-  let r = Hostir.Reloc.certify ~env:(reloc_env_of je ~n_exits ~n_slots) ?ra code in
-  (match r with
-  | Ok _ -> record_reloc_into ~s ~log ~what ~region []
-  | Error fs -> record_reloc_into ~s ~log ~what ~region fs);
-  s.t_reloc <- s.t_reloc +. (now () -. t0);
-  match r with Ok c -> Some c | Error _ -> None
-
-let certify_translation (e : t) ~what ~region ~n_exits ~n_slots ?ra (code : bytes) :
-    Hostir.Reloc.certificate option =
-  let log = ref e.reloc_log in
-  let r =
-    certify_translation_into e.jenv ~s:e.stats ~log ~what ~region ~n_exits ~n_slots ?ra code
-  in
-  e.reloc_log <- !log;
-  r
-
-(* Guest code bytes currently at [pa], for content verification of AOT
-   entries (both guests use 32-bit instruction words). *)
+(* Guest code bytes currently at [pa]: request snapshots and the live
+   side of the async install's hash check (both guests use 32-bit
+   instruction words).  Charge-free: [Machine.phys_read] of RAM. *)
 let read_guest_bytes (e : t) ~pa ~len : bytes =
   let b = Bytes.create len in
   let words = len / 4 in
@@ -1110,447 +511,218 @@ let read_guest_bytes (e : t) ~pa ~len : bytes =
   done;
   b
 
-(* Installing from the AOT cache still costs cycles (read, verify,
-   re-bind the numbered sites) — a small fraction of a fresh
-   translation's 1400/guest-instruction charge. *)
-let aot_load_cost ~n_host = 50 + (n_host / 4)
+(* --- installing translations ----------------------------------------------------- *)
 
-(* Install a certified cache entry as a block: identical cache /
-   page-protection / sanitizer bookkeeping to a cold translation, with
-   only the translation work replaced by the load cost.  [tier] is 0 for
-   kind-0 (pipeline) entries and -1 for kind-2 (template-stitched)
-   entries, whose load cost lands in the template ledger. *)
-let install_aot_block (e : t) (entry : Aotcache.entry) ?(tier = 0) ~va ~pa ~el ~mmu_on () :
-    translation =
+(* Simulated translate cost of a result.  The pipeline makes several
+   passes (DAG build, liveness, allocation, encode), costed per guest
+   and per emitted host instruction — ~2-3x the QEMU-style engine's
+   single direct pass (paper Sec. 3.4).  Template stitching does no SSA
+   walk, DAG build, liveness or linear scan per block, only hole
+   patching and copying (mining is an offline per-opcode artifact,
+   charged zero; [mine-templates] builds the same table ahead of time).
+   An AOT load reads, verifies and re-binds the numbered sites. *)
+let translate_cost (req : Jit.request) (res : Jit.result) =
+  let n_guest = res.Jit.r_n_guest and n_host = res.Jit.r_n_host in
+  if res.Jit.r_aot then 50 + (n_host / 4)
+  else
+    match req.Jit.rq_kind with
+    | Jit.Template -> 40 + (150 * n_guest) + (25 * n_host)
+    | Jit.Block | Jit.Region -> (1400 * n_guest) + (260 * n_host)
+
+(* The one install routine, for every kind and source (translated or
+   reloaded from the AOT cache).  [members] are the vCPU records a
+   region is built from, head first ([] for blocks).  [async] carries
+   the enqueue-time page generation and guest-byte hash of a worker
+   result: the install re-hashes the live bytes and publishes through
+   the generation check, and a result that went stale in flight is
+   dropped and its head demoted so profiling can retry against the
+   current bytes.  Returns the published record ([None] only when
+   stale). *)
+let install (e : t) ?(members = []) ?async (req : Jit.request) (res : Jit.result) :
+    translation option =
   let s = e.stats in
-  let program = Encode.decode_program ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code in
-  charge_translate_with e ~template:(tier < 0) (aot_load_cost ~n_host:entry.Aotcache.e_n_host);
-  s.aot_hits <- s.aot_hits + 1;
-  s.blocks_translated <- s.blocks_translated + 1;
-  s.guest_instrs_translated <- s.guest_instrs_translated + entry.Aotcache.e_n_guest;
-  s.host_instrs_emitted <- s.host_instrs_emitted + entry.Aotcache.e_n_host;
-  s.host_bytes_emitted <- s.host_bytes_emitted + Bytes.length entry.Aotcache.e_code;
-  if tier < 0 then begin
-    s.template_blocks <- s.template_blocks + 1;
-    s.template_instrs <- s.template_instrs + entry.Aotcache.e_n_guest
-  end;
+  let kind = req.Jit.rq_kind in
+  let key = (Jit.head_pa req, req.Jit.rq_el, req.Jit.rq_mmu) in
   let tr =
     {
-      t_key = (pa, el, mmu_on);
-      t_va = va;
-      t_program = program;
-      t_n_guest = entry.Aotcache.e_n_guest;
-      t_n_host = entry.Aotcache.e_n_host;
-      t_bytes = Bytes.length entry.Aotcache.e_code;
+      t_key = key;
+      t_va = req.Jit.rq_head_va;
+      t_program = res.Jit.r_program;
+      t_n_guest = res.Jit.r_n_guest;
+      t_n_host = res.Jit.r_n_host;
+      t_bytes = Bytes.length res.Jit.r_code;
       t_chain = None;
       t_exec_count = 0;
       t_cycles = 0;
-      t_tier = tier;
-      t_members = 1;
+      t_tier = (match kind with Jit.Template -> -1 | Jit.Block -> 0 | Jit.Region -> 1);
+      t_members = Array.length res.Jit.r_members;
       t_succs = [];
-      t_exits = [||];
+      t_exits = Array.make res.Jit.r_n_exits None;
     }
   in
-  Codecache.publish e.cache tr.t_key tr;
-  let page = Bits.align_down pa 4096 in
-  protect_page e page;
-  (match e.sanitizer with
-  | Some sa ->
-    Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa ~el ~mmu:mmu_on
-      ~len:(e.guest.Ops.insn_size * entry.Aotcache.e_n_guest);
-    if e.config.sanitize_every > 0 && s.blocks_translated mod e.config.sanitize_every = 0 then
-      sanitize_check e ~reason:"periodic"
-  | None -> ());
-  tr
+  let replaced = Codecache.lookup e.cache key in
+  let published =
+    match async with
+    | None ->
+      Codecache.publish e.cache key tr;
+      true
+    | Some (gen, guest_hash) ->
+      (* The members' guest bytes as they are in memory right now: a
+         result whose source bytes changed since enqueue is stale even
+         if the page's invalidation generation did not move. *)
+      let pa = Int64.add req.Jit.rq_pa_page (Int64.of_int req.Jit.rq_snap_off) in
+      let live = read_guest_bytes e ~pa ~len:(Bytes.length req.Jit.rq_snapshot) in
+      Int64.equal guest_hash
+        (Hostir.Reloc.hash64 (Jit.guest_bytes { req with Jit.rq_snapshot = live } res.Jit.r_members))
+      && Codecache.publish_if e.cache key ~gen tr
+  in
+  if not published then begin
+    s.jobs_stale <- s.jobs_stale + 1;
+    Option.iter demote (List.nth_opt members 0);
+    None
+  end
+  else begin
+    add_stats s res.Jit.r_stats;
+    e.validation_log <- Jit.append_capped e.validation_log res.Jit.r_validation_log;
+    e.analysis_log <- Jit.append_capped e.analysis_log res.Jit.r_analysis_log;
+    e.reloc_log <- Jit.append_capped e.reloc_log res.Jit.r_reloc_log;
+    (* Translation-side cycle charge: wall-clock cycles the guest pays
+       for JIT/AOT work, kept out of guest-visible device time (the
+       Machine's virtual-time split) so the guest's observable execution
+       is identical whether its code was translated cold or installed
+       warm.  The ledger splits template installs (stitching and kind-2
+       AOT loads) from the full pipeline; async charges also land in the
+       async sub-ledger — cycles spent on a worker domain while the vCPU
+       kept executing, so [async_jit_cycles / jit_cycles] is the
+       translate-stall share the pool removed from the critical path. *)
+    let n = translate_cost req res in
+    if Option.is_some async then begin
+      Machine.charge_jit_async e.machine n;
+      s.jobs_installed <- s.jobs_installed + 1
+    end
+    else Machine.charge_jit e.machine n;
+    s.translate_cycles <- s.translate_cycles + n;
+    if kind = Jit.Template then s.translate_cycles_template <- s.translate_cycles_template + n
+    else s.translate_cycles_pipeline <- s.translate_cycles_pipeline + n;
+    List.iter (fun m -> m.t_tier <- 1) members;
+    (* Predecessors of the replaced record relink through the cache
+       (one dispatch lookup), so the hot path migrates into the new
+       code instead of chaining into the orphan forever. *)
+    Option.iter (fun old -> unlink_edges_into e.cache [ old ]) replaced;
+    (* Translations never cross a page (decode stops at the boundary,
+       regions stay on the head's page), so exactly one guest page holds
+       the code, and one SMC invalidation sweeps a region unit together
+       with every member. *)
+    protect_page e req.Jit.rq_pa_page;
+    (match e.sanitizer with
+    | Some sa ->
+      Array.iter
+        (fun (va, len) ->
+          let pa = Int64.logor req.Jit.rq_pa_page (Int64.logand va 0xFFFL) in
+          Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa ~el:req.Jit.rq_el
+            ~mmu:req.Jit.rq_mmu ~len)
+        res.Jit.r_members;
+      if
+        kind <> Jit.Region && e.config.sanitize_every > 0
+        && s.blocks_translated mod e.config.sanitize_every = 0
+      then sanitize_check e ~reason:"periodic"
+    | None -> ());
+    (match (e.aot, res.Jit.r_cert) with
+    | Some cache, Some cert when Jit.persistable e.jenv res ->
+      Aotcache.store cache (Jit.aot_entry e.jenv req res cert);
+      s.aot_stores <- s.aot_stores + 1
+    | _ -> ());
+    Some tr
+  end
 
-(* Try to satisfy a block-translation request from the AOT cache: the
-   entry's guest bytes must match guest memory byte-for-byte, and the
-   stored code must re-certify.  A flagged or corrupted entry is
-   rejected and the request falls back to cold translation.  [kind] 0
-   carries pipeline blocks (installed at tier 0), kind 2 carries
-   template-stitched blocks (installed at tier -1); only the kind-0
-   probe counts misses, since it is the final cache fallback. *)
-let aot_try_kind (e : t) ~kind ~tier ~count_miss ~va ~pa ~el ~mmu_on : translation option =
+(* Try to satisfy a request from the AOT cache: the first candidate
+   that covers the request's spans, matches its guest bytes and
+   re-certifies becomes the result; a flagged or malformed entry is
+   counted and skipped.  The kind-2 (template) probe counts no miss,
+   since the kind-0 probe after it is the final cache fallback. *)
+let aot_probe (e : t) (req : Jit.request) : Jit.result option =
   match e.aot with
   | None -> None
   | Some cache ->
-    let cfg = aot_cfg_sig e in
-    let result =
-      List.find_map
-        (fun (entry : Aotcache.entry) ->
-          let len = Bytes.length entry.Aotcache.e_guest in
-          if len = 0 || not (Bytes.equal entry.Aotcache.e_guest (read_guest_bytes e ~pa ~len))
-          then None
-          else
-            let what = Printf.sprintf "aot block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on in
-            match
-              certify_translation e ~what ~region:false ~n_exits:0
-                ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code
-            with
-            | Some _ -> Some (install_aot_block e entry ~tier ~va ~pa ~el ~mmu_on ())
-            | None ->
-              e.stats.aot_rejects <- e.stats.aot_rejects + 1;
-              None)
-        (Aotcache.candidates cache ~kind ~va ~pa ~el ~mmu:mmu_on ~cfg)
+    let rec first = function
+      | [] ->
+        if req.Jit.rq_kind <> Jit.Template then e.stats.aot_misses <- e.stats.aot_misses + 1;
+        None
+      | entry :: rest -> (
+        match Jit.load e.jenv req entry with
+        | Jit.Loaded res -> Some res
+        | Jit.Mismatch -> first rest
+        | Jit.Rejected (d, log) ->
+          add_stats e.stats d;
+          e.reloc_log <- Jit.append_capped e.reloc_log log;
+          first rest)
     in
-    if count_miss && Option.is_none result then e.stats.aot_misses <- e.stats.aot_misses + 1;
-    result
+    first
+      (Aotcache.candidates cache ~kind:(Jit.aot_kind req.Jit.rq_kind) ~va:req.Jit.rq_head_va
+         ~pa:(Jit.head_pa req) ~el:req.Jit.rq_el ~mmu:req.Jit.rq_mmu ~cfg:(Jit.cfg_sig e.jenv))
 
-let aot_try_block (e : t) ~va ~pa ~el ~mmu_on : translation option =
-  aot_try_kind e ~kind:0 ~tier:0 ~count_miss:true ~va ~pa ~el ~mmu_on
+(* --- block translation (tiers -1 and 0) ------------------------------------------ *)
 
-let aot_try_template (e : t) ~va ~pa ~el ~mmu_on : translation option =
-  aot_try_kind e ~kind:2 ~tier:(-1) ~count_miss:false ~va ~pa ~el ~mmu_on
+(* Capture a block request.  The snapshot covers only what decode can
+   read: up to the page end or [max_block] instructions. *)
+let block_request (e : t) ~kind ~va ~pa ~el ~mmu_on ~validate : Jit.request =
+  let off = Int64.to_int (Int64.logand pa 0xFFFL) in
+  {
+    Jit.rq_kind = kind;
+    rq_head_va = va;
+    rq_pa_page = Bits.align_down pa 4096;
+    rq_el = el;
+    rq_mmu = mmu_on;
+    rq_members = [ { Jit.md_va = va; md_off = off; md_len = 0; md_succs = [] } ];
+    rq_snapshot =
+      read_guest_bytes e ~pa ~len:(min (4096 - off) (e.config.max_block * e.guest.Ops.insn_size));
+    rq_snap_off = off;
+    rq_validate = validate;
+  }
 
-let equiv_items_env (je : jit_env) ~el decoded : Hostir.Equiv.item list =
-  let model = je.je_guest.Ops.model in
-  List.map
-    (fun d ->
-      {
-        Hostir.Equiv.it_action = Ssa.Offline.action model d.Adl.Decode.name;
-        it_field = field_of ~el d;
-        it_inc_pc = (if d.Adl.Decode.ends_block then None else Some je.je_guest.Ops.insn_size);
-      })
-    decoded
-
-let equiv_items (e : t) ~el decoded : Hostir.Equiv.item list = equiv_items_env e.jenv ~el decoded
-
-let translate_block_cold (e : t) sys ~va ~pa ~el ~mmu_on : translation =
-  let s = e.stats in
-  ignore sys;
-  (* Phase 1: decode one guest basic block. *)
-  let t0 = now () in
-  let decoded, undefined_stub = decode_block e ~va ~pa in
-  let n = ref (List.length decoded) in
-  let undefined_stub = ref undefined_stub in
-  s.t_decode <- s.t_decode +. (now () -. t0);
-  (* Phase 2: translation via generator functions over the invocation DAG. *)
-  let t1 = now () in
-  let model = e.guest.Ops.model in
-  let dag = Dag.create (dag_config_of e ~mmu_on) in
-  let em = Dag.emitter dag in
-  if !undefined_stub then
-    (* An undefined first instruction gets a cached stub that raises the
-       guest's undefined-instruction exception. *)
-    em.Ssa.Emitter.effect "take_exception" [ em.Ssa.Emitter.const 0L; em.Ssa.Emitter.const 0L ]
-  else
-    List.iter
-      (fun d ->
-        let action = Ssa.Offline.action model d.Adl.Decode.name in
-        let field = field_of ~el d in
-        let inc_pc = if d.Adl.Decode.ends_block then None else Some e.guest.Ops.insn_size in
-        Ssa.Gen.translate em action ~field ~inc_pc)
-      decoded;
-  Dag.raw dag (Hir.Exit 0);
-  let instrs = Dag.finish dag in
-  s.t_translate <- s.t_translate +. (now () -. t1);
-  s.t_tier0 <- s.t_tier0 +. (now () -. t1);
-  (* Symbolic translation validation (off the hot path unless enabled):
-     check the optimized stream against a per-instruction reference
-     emission from the same decode, sampled every [validate_every]th
-     block. *)
-  (if e.config.validate_translations && (not !undefined_stub) && decoded <> [] then begin
-     e.validate_tick <- e.validate_tick + 1;
-     if e.config.validate_every <= 1 || e.validate_tick mod e.config.validate_every = 0 then begin
-       let tv = now () in
-       trace e "validate: block pa=0x%Lx va=0x%Lx (%d host instrs)\n%!" pa va
-         (Array.length instrs);
-       let outcome =
-         Hostir.Equiv.check_block ~classify:Common.helper_kind ~config:(dag_config_of e ~mmu_on)
-           ~init_pc:(Hostir.Symexec.Const va) ~opt:instrs (equiv_items e ~el decoded)
-       in
-       record_validation e
-         ~what:(Printf.sprintf "block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-         ~region:false outcome;
-       s.t_validate <- s.t_validate +. (now () -. tv)
-     end
-   end);
-  (* Phase 3: register allocation. *)
-  let t2 = now () in
-  let ra = Regalloc.run instrs in
-  s.t_regalloc <- s.t_regalloc +. (now () -. t2);
-  (* Static obligation checking (off the hot path unless enabled): the
-     analyzer proves register-file bounds on the emitted stream and
-     frame bounds on the allocated one; any finding is a miscompile. *)
-  if e.config.analyze_translations then
-    analyze_translation e
-      ~what:(Printf.sprintf "block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-      ~region:false ~pre:instrs ra;
-  (* Phase 4: encoding to host machine code + patching. *)
-  let t3 = now () in
-  let code = Encode.encode ra in
-  let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
-  s.t_encode <- s.t_encode +. (now () -. t3);
-  (* Charge JIT compilation time to the cycle model: Captive's pipeline
-     makes several passes (DAG build, liveness, allocation, encode),
-     costed per guest instruction and per emitted host instruction.  The
-     resulting translation is ~2-3x more expensive than the QEMU-style
-     engine's single direct pass (paper Sec. 3.4). *)
-  let n_host = Array.length instrs in
-  charge_translate e ((1400 * !n) + (260 * n_host));
-  s.blocks_translated <- s.blocks_translated + 1;
-  s.guest_instrs_translated <- s.guest_instrs_translated + !n;
-  s.host_instrs_emitted <- s.host_instrs_emitted + n_host;
-  s.host_bytes_emitted <- s.host_bytes_emitted + Bytes.length code;
-  s.dead_marked <- s.dead_marked + ra.Regalloc.n_dead;
-  s.spills <- s.spills + ra.Regalloc.n_spilled;
-  let tr =
-    {
-      t_key = (pa, el, mmu_on);
-      t_va = va;
-      t_program = program;
-      t_n_guest = !n;
-      t_n_host = n_host;
-      t_bytes = Bytes.length code;
-      t_chain = None;
-      t_exec_count = 0;
-      t_cycles = 0;
-      t_tier = 0;
-      t_members = 1;
-      t_succs = [];
-      t_exits = [||];
-    }
+(* Translate the block at [va]/[pa] and install it.  With templates on,
+   the order is: kind-2 AOT entry, template stitching, kind-0 AOT entry,
+   the pipeline; [kind = Block] starts at the kind-0 probe.  Block jobs
+   run inline on the vCPU. *)
+let translate_block (e : t) ~kind ~va ~pa ~el ~mmu_on : translation =
+  let c = e.config in
+  (* The Equiv sampling verdict: the tick advances once per block the
+     pipeline or the stitcher translates (not undefined stubs, not AOT
+     loads), so a template fallback and its pipeline retry share it. *)
+  let validate =
+    c.validate_translations
+    && (c.validate_every <= 1 || (e.validate_tick + 1) mod c.validate_every = 0)
   in
-  (* Register in the cache and write-protect the code's guest pages. *)
-  Codecache.publish e.cache tr.t_key tr;
-  (* Blocks never cross a page boundary (decode stops at it), so exactly
-     one guest page holds this translation's code. *)
-  let page = Bits.align_down pa 4096 in
-  protect_page e page;
-  (match e.sanitizer with
-  | Some sa ->
-    Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa ~el ~mmu:mmu_on
-      ~len:(4 * !n);
-    if e.config.sanitize_every > 0 && s.blocks_translated mod e.config.sanitize_every = 0 then
-      sanitize_check e ~reason:"periodic"
-  | None -> ());
-  (* Relocation-cleanliness certification, and persistence of certified
-     translations.  Undefined-instruction stubs are certified like any
-     other code but cover no guest bytes, so they are translated fresh
-     on every boot and never persisted. *)
-  (if e.config.reloc_check || Option.is_some e.aot then begin
-     let what = Printf.sprintf "block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on in
-     match
-       certify_translation e ~what ~region:false ~n_exits:0 ~n_slots:ra.Regalloc.n_slots ~ra
-         code
-     with
-     | Some cert when (not !undefined_stub) && !n > 0 -> (
-       match e.aot with
-       | Some cache ->
-         let len = e.guest.Ops.insn_size * !n in
-         Aotcache.store cache
-           {
-             Aotcache.e_kind = 0;
-             e_va = va;
-             e_pa = pa;
-             e_el = el;
-             e_mmu = mmu_on;
-             e_cfg = aot_cfg_sig e;
-             e_members = [| (va, len) |];
-             e_guest = read_guest_bytes e ~pa ~len;
-             e_n_slots = ra.Regalloc.n_slots;
-             e_n_exits = 0;
-             e_n_guest = !n;
-             e_n_host = n_host;
-             e_code = code;
-             e_hash = cert.Hostir.Reloc.c_hash;
-           };
-         s.aot_stores <- s.aot_stores + 1
-       | None -> ())
-     | Some _ | None -> ()
-   end);
-  tr
-
-(* Simulated cost of installing a template-stitched block: per-guest
-   hole evaluation/patching plus per-host-instruction copy/encode.  No
-   SSA walk, DAG build, liveness or linear scan happens per block, so
-   the charge is roughly an order of magnitude below the pipeline's
-   1400/260 (mining itself is an offline per-opcode artifact, charged
-   zero here; [mine-templates] builds the same table ahead of time). *)
-let template_install_cost ~n_guest ~n_host = 40 + (150 * n_guest) + (25 * n_host)
-
-(* Tier minus one: stitch per-instruction template fragments instead of
-   running the translation pipeline.  Returns [None] (caller goes to
-   the pipeline) when any instruction's form is untemplatable or a hole
-   fails to patch.  The stitched block passes the same trust stack as a
-   cold one: post-regalloc [Verify], sampled [Equiv] validation of the
-   patched pre-regalloc stream, [Absint] obligations when enabled, and
-   [Reloc] certification before kind-2 AOT persistence. *)
-let translate_block_template (e : t) ~va ~pa ~el ~mmu_on : translation option =
-  let s = e.stats in
-  let t0 = now () in
-  let decoded, undefined_stub = decode_block e ~va ~pa in
-  s.t_decode <- s.t_decode +. (now () -. t0);
-  if undefined_stub || decoded = [] then None
-  else begin
-    let t1 = now () in
-    let model = e.guest.Ops.model in
-    let tt = templates_of e in
-    (* Look up (or mine, first time per form+pins) one fragment per
-       decoded instruction; any miss sends the whole block cold. *)
-    let rec gather acc = function
-      | [] -> Some (List.rev acc)
-      | d :: rest -> (
-        let name = d.Adl.Decode.name in
-        let action = Ssa.Offline.action model name in
-        let field = field_of ~el d in
-        let inc_pc = if d.Adl.Decode.ends_block then None else Some e.guest.Ops.insn_size in
-        match Hostir.Template.fragment tt ~action ~name ~inc_pc ~mmu_on ~field with
-        | Hostir.Template.Hit f -> gather ((f, field) :: acc) rest
-        | Hostir.Template.Mined f ->
-          s.templates_mined <- s.templates_mined + 1;
-          gather ((f, field) :: acc) rest
-        | Hostir.Template.Miss _ ->
-          s.template_misses <- s.template_misses + 1;
-          Hashtbl.replace e.template_miss name
-            (1 + (try Hashtbl.find e.template_miss name with Not_found -> 0));
-          None)
-    in
-    let result =
-      match gather [] decoded with
-      | None -> None
-      | Some frags -> (
-        match Hostir.Template.assemble tt frags with
-        | None -> None
-        | Some (pre, ra) ->
-          (* Defensive structural check on the fabricated allocation:
-             a stitching bug must fall back cold, never reach encode. *)
-          if Hostir.Verify.check ~original:pre ra <> [] then None else Some (pre, ra))
-    in
-    s.t_translate <- s.t_translate +. (now () -. t1);
-    s.t_template <- s.t_template +. (now () -. t1);
-    match result with
-    | None ->
-      s.template_fallback_blocks <- s.template_fallback_blocks + 1;
-      None
-    | Some (pre, ra) ->
-      let n = List.length decoded in
-      (* Sampled symbolic validation of the patched stream, same cadence
-         and reference emission as the cold pipeline. *)
-      (if e.config.validate_translations then begin
-         e.validate_tick <- e.validate_tick + 1;
-         if e.config.validate_every <= 1 || e.validate_tick mod e.config.validate_every = 0 then begin
-           let tv = now () in
-           trace e "validate: template block pa=0x%Lx va=0x%Lx (%d host instrs)\n%!" pa va
-             (Array.length pre);
-           let outcome =
-             Hostir.Equiv.check_block ~classify:Common.helper_kind
-               ~config:(dag_config_of e ~mmu_on) ~init_pc:(Hostir.Symexec.Const va) ~opt:pre
-               (equiv_items e ~el decoded)
-           in
-           record_validation e
-             ~what:
-               (Printf.sprintf "template block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-             ~region:false outcome;
-           s.t_validate <- s.t_validate +. (now () -. tv)
-         end
-       end);
-      if e.config.analyze_translations then
-        analyze_translation e
-          ~what:(Printf.sprintf "template block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-          ~region:false ~pre ra;
-      let t3 = now () in
-      let code = Encode.encode ra in
-      let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
-      s.t_encode <- s.t_encode +. (now () -. t3);
-      let n_host = Array.length pre in
-      charge_translate_with e ~template:true (template_install_cost ~n_guest:n ~n_host);
-      s.blocks_translated <- s.blocks_translated + 1;
-      s.guest_instrs_translated <- s.guest_instrs_translated + n;
-      s.host_instrs_emitted <- s.host_instrs_emitted + n_host;
-      s.host_bytes_emitted <- s.host_bytes_emitted + Bytes.length code;
-      s.template_blocks <- s.template_blocks + 1;
-      s.template_instrs <- s.template_instrs + n;
-      let tr =
-        {
-          t_key = (pa, el, mmu_on);
-          t_va = va;
-          t_program = program;
-          t_n_guest = n;
-          t_n_host = n_host;
-          t_bytes = Bytes.length code;
-          t_chain = None;
-          t_exec_count = 0;
-          t_cycles = 0;
-          t_tier = -1;
-          t_members = 1;
-          t_succs = [];
-          t_exits = [||];
-        }
-      in
-      Codecache.publish e.cache tr.t_key tr;
-      let page = Bits.align_down pa 4096 in
-      protect_page e page;
-      (match e.sanitizer with
-      | Some sa ->
-        Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa ~el ~mmu:mmu_on
-          ~len:(4 * n);
-        if e.config.sanitize_every > 0 && s.blocks_translated mod e.config.sanitize_every = 0
-        then sanitize_check e ~reason:"periodic"
-      | None -> ());
-      (* Certify and persist as a kind-2 entry so warm boots install the
-         same bits without re-stitching (and without re-mining). *)
-      (if e.config.reloc_check || Option.is_some e.aot then begin
-         let what =
-           Printf.sprintf "template block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on
-         in
-         match
-           certify_translation e ~what ~region:false ~n_exits:0 ~n_slots:ra.Regalloc.n_slots
-             ~ra code
-         with
-         | Some cert -> (
-           match e.aot with
-           | Some cache ->
-             let len = e.guest.Ops.insn_size * n in
-             Aotcache.store cache
-               {
-                 Aotcache.e_kind = 2;
-                 e_va = va;
-                 e_pa = pa;
-                 e_el = el;
-                 e_mmu = mmu_on;
-                 e_cfg = aot_cfg_sig e;
-                 e_members = [| (va, len) |];
-                 e_guest = read_guest_bytes e ~pa ~len;
-                 e_n_slots = ra.Regalloc.n_slots;
-                 e_n_exits = 0;
-                 e_n_guest = n;
-                 e_n_host = n_host;
-                 e_code = code;
-                 e_hash = cert.Hostir.Reloc.c_hash;
-               };
-             s.aot_stores <- s.aot_stores + 1
-           | None -> ())
-         | None -> ()
-       end);
-      Some tr
-  end
-
-(* The old [translate_block] (AOT probe then cold pipeline), reached
-   when templates are disabled, when a block's form set is
-   untemplatable, and when a template block is promoted (promotion
-   re-translates through the full pipeline). *)
-let translate_block_pipeline (e : t) sys ~va ~pa ~el ~mmu_on : translation =
-  match aot_try_block e ~va ~pa ~el ~mmu_on with
-  | Some tr -> tr
-  | None -> translate_block_cold e sys ~va ~pa ~el ~mmu_on
-
-let translate_block (e : t) sys ~va ~pa ~el ~mmu_on : translation =
-  if e.config.templates && e.config.tiering then begin
-    let t0 = now () in
-    match aot_try_template e ~va ~pa ~el ~mmu_on with
-    | Some tr ->
-      e.stats.t_template <- e.stats.t_template +. (now () -. t0);
-      tr
+  let req = block_request e ~kind ~va ~pa ~el ~mmu_on ~validate in
+  let rec attempt (req : Jit.request) =
+    let t0 = Jit.now () in
+    match aot_probe e req with
+    | Some res ->
+      if req.Jit.rq_kind = Jit.Template then
+        e.stats.t_template <- e.stats.t_template +. (Jit.now () -. t0);
+      (req, res)
     | None -> (
-      match translate_block_template e ~va ~pa ~el ~mmu_on with
-      | Some tr -> tr
-      | None -> translate_block_pipeline e sys ~va ~pa ~el ~mmu_on)
-  end
-  else translate_block_pipeline e sys ~va ~pa ~el ~mmu_on
+      match Jit.run e.jenv req with
+      | res ->
+        if c.validate_translations && res.Jit.r_n_guest > 0 then
+          e.validate_tick <- e.validate_tick + 1;
+        (req, res)
+      | exception Jit.Fallback (d, miss) ->
+        add_stats e.stats d;
+        Option.iter
+          (fun name ->
+            Hashtbl.replace e.template_miss name
+              (1 + Option.value ~default:0 (Hashtbl.find_opt e.template_miss name)))
+          miss;
+        attempt { req with Jit.rq_kind = Jit.Block })
+  in
+  let req, res = attempt req in
+  (* synchronous installs always publish *)
+  Option.get (install e req res)
+
+
 
 (* --- tiered translation: hot-region formation (tier 1) ---------------------------- *)
-
 (* Bounded successor profile (space-saving, k = 4): recorded free of
    charge in the run loop while a block is still tier 0; drives member
    selection and dispatch ordering when the block is promoted. *)
@@ -1591,124 +763,6 @@ let succs_by_heat (tr : translation) ~el =
     | _ -> base
   in
   List.sort (fun (_, _, a) (_, _, b) -> compare b a) base |> List.map (fun (v, _, _) -> v)
-
-(* Promote a hot tier-0 block: grow a region by following the recorded
-   chain edge plus the bounded taken-target profile — limited to
-   [region_max_blocks] members on the head's guest page (so physical
-   code-cache indexing and page-granular SMC invalidation stay exact) and
-   to the head's exception level and MMU regime — and translate the
-   region as one unit.  Intra-region control flow becomes a PC-compare
-   dispatch per member, straightened into direct jumps where the target
-   is static, with no per-block prologue and cross-block dead
-   register-file stores eliminated.  Members keep their own tier-0 cache
-   entries (the region replaces only the head's), so a mid-region exit
-   falls back to block-at-a-time execution; every member entry begins
-   with a [Poll] safepoint, so interrupts, regime changes (the poison
-   register) and the run loop's cycle/block budgets are honoured at
-   block granularity exactly like the baseline dispatch loop. *)
-(* Try to satisfy a region-translation request from the AOT cache.  The
-   entry must cover exactly the members runtime profiling selected (same
-   VAs, same lengths — member selection is deterministic because guest
-   execution is), its guest bytes must match memory, and the stored code
-   must re-certify.  Installs with the same bookkeeping as a cold region
-   build: cache head replacement, member tier marks, chain-edge unlinks,
-   sanitizer records — only the translation work is replaced. *)
-let aot_try_region (e : t) ~(head : translation) ~(members : translation list) ~pa_page ~el
-    ~mmu_on : bool =
-  match e.aot with
-  | None -> false
-  | Some cache ->
-    let s = e.stats in
-    let pa_head, _, _ = head.t_key in
-    let want =
-      Array.of_list (List.map (fun m -> (m.t_va, e.guest.Ops.insn_size * m.t_n_guest)) members)
-    in
-    let matching (entry : Aotcache.entry) =
-      entry.Aotcache.e_members = want
-      &&
-      let guest = Buffer.create 256 in
-      Array.iter
-        (fun (va_m, len) ->
-          let pa_m = Int64.logor pa_page (Int64.logand va_m 0xFFFL) in
-          Buffer.add_bytes guest (read_guest_bytes e ~pa:pa_m ~len))
-        entry.Aotcache.e_members;
-      Bytes.equal entry.Aotcache.e_guest (Buffer.to_bytes guest)
-    in
-    let install (entry : Aotcache.entry) =
-      let what =
-        Printf.sprintf "aot region pa=0x%Lx va=0x%Lx members=%d" pa_head head.t_va
-          (Array.length entry.Aotcache.e_members)
-      in
-      match
-        certify_translation e ~what ~region:true ~n_exits:entry.Aotcache.e_n_exits
-          ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code
-      with
-      | None ->
-        s.aot_rejects <- s.aot_rejects + 1;
-        false
-      | Some _ ->
-        let program =
-          Encode.decode_program ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code
-        in
-        charge_translate e (aot_load_cost ~n_host:entry.Aotcache.e_n_host);
-        s.aot_hits <- s.aot_hits + 1;
-        s.regions_formed <- s.regions_formed + 1;
-        s.region_blocks <- s.region_blocks + List.length members;
-        s.region_host_instrs <- s.region_host_instrs + entry.Aotcache.e_n_host;
-        let region =
-          {
-            t_key = head.t_key;
-            t_va = head.t_va;
-            t_program = program;
-            t_n_guest = entry.Aotcache.e_n_guest;
-            t_n_host = entry.Aotcache.e_n_host;
-            t_bytes = Bytes.length entry.Aotcache.e_code;
-            t_chain = None;
-            t_exec_count = 0;
-            t_cycles = 0;
-            t_tier = 1;
-            t_members = List.length members;
-            t_succs = [];
-            t_exits = Array.make entry.Aotcache.e_n_exits None;
-          }
-        in
-        Codecache.publish e.cache region.t_key region;
-        List.iter (fun m -> m.t_tier <- 1) members;
-        head.t_chain <- None;
-        Codecache.iter
-          (fun _ tr ->
-            (match tr.t_chain with
-            | Some (_, _, tgt) when tgt == head -> tr.t_chain <- None
-            | _ -> ());
-            Array.iteri
-              (fun i edge ->
-                match edge with
-                | Some (_, _, tgt) when tgt == head -> tr.t_exits.(i) <- None
-                | _ -> ())
-              tr.t_exits)
-          e.cache;
-        (match e.sanitizer with
-        | Some sa ->
-          List.iter
-            (fun m ->
-              let pa_m = Int64.logor pa_page (Int64.logand m.t_va 0xFFFL) in
-              Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa:pa_m ~el
-                ~mmu:mmu_on ~len:(e.guest.Ops.insn_size * m.t_n_guest))
-            members
-        | None -> ());
-        true
-    in
-    let rec try_all = function
-      | [] ->
-        s.aot_misses <- s.aot_misses + 1;
-        false
-      | entry :: rest -> if matching entry && install entry then true else try_all rest
-    in
-    try_all
-      (Aotcache.candidates cache ~kind:1 ~va:head.t_va ~pa:pa_head ~el ~mmu:mmu_on
-         ~cfg:(aot_cfg_sig e))
-
-(* --- region formation as pure jobs ------------------------------------------------ *)
 
 (* Member selection: breadth-first over the recorded chain edge plus the
    bounded taken-target profile — limited to [region_max_blocks] members
@@ -1751,302 +805,54 @@ let select_members (e : t) (head : translation) : translation list * bool =
   in
   (!members, self_loop)
 
-(* Capture a region-formation job: snapshot the head's guest page
-   (regions never cross a page), freeze the member descriptors and
-   successor profiles, and record the page invalidation generation and
-   guest-byte hash that gate the eventual install.  Everything a worker
-   reads lives in [j_req]; page snapshots are charge-free
-   ([Machine.phys_read] of RAM), so capturing a job costs no guest
-   cycles. *)
-let make_region_job (e : t) ~(head : translation) ~(members : translation list) : region_job =
+(* Capture a region request: snapshot the head's guest page (regions
+   never cross a page) and freeze the member spans and successor
+   profiles.  Page snapshots are charge-free, so capturing costs no
+   guest cycles. *)
+let region_request (e : t) ~(head : translation) ~(members : translation list) : Jit.request =
   let pa_head, el, mmu_on = head.t_key in
   let pa_page = Bits.align_down pa_head 4096 in
-  let snapshot = read_guest_bytes e ~pa:pa_page ~len:4096 in
-  let descs =
-    List.map
-      (fun m ->
-        {
-          md_va = m.t_va;
-          md_off = Int64.to_int (Int64.logand m.t_va 0xFFFL);
-          md_succs = succs_by_heat m ~el;
-        })
-      members
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun m ->
-      let off = Int64.to_int (Int64.logand m.t_va 0xFFFL) in
-      Buffer.add_bytes buf (Bytes.sub snapshot off (e.guest.Ops.insn_size * m.t_n_guest)))
-    members;
   {
-    j_req =
-      {
-        rq_head_va = head.t_va;
-        rq_pa_page = pa_page;
-        rq_el = el;
-        rq_mmu = mmu_on;
-        rq_members = descs;
-        rq_snapshot = snapshot;
-      };
-    j_head = head;
+    Jit.rq_kind = Jit.Region;
+    rq_head_va = head.t_va;
+    rq_pa_page = pa_page;
+    rq_el = el;
+    rq_mmu = mmu_on;
+    rq_members =
+      List.map
+        (fun m ->
+          {
+            Jit.md_va = m.t_va;
+            md_off = Int64.to_int (Int64.logand m.t_va 0xFFFL);
+            md_len = e.guest.Ops.insn_size * m.t_n_guest;
+            md_succs = succs_by_heat m ~el;
+          })
+        members;
+    rq_snapshot = read_guest_bytes e ~pa:pa_page ~len:4096;
+    rq_snap_off = 0;
+    rq_validate = e.config.validate_translations;
+  }
+
+(* A region job for the worker pool: the request plus the page
+   invalidation generation and guest-byte hash that gate its install. *)
+let make_region_job (e : t) ~(req : Jit.request) ~(members : translation list) : region_job =
+  {
+    j_req = req;
     j_members = members;
-    j_gen = Codecache.page_gen e.cache pa_page;
-    j_guest_hash = Hostir.Reloc.hash64 (Buffer.to_bytes buf);
+    j_gen = Codecache.page_gen e.cache req.Jit.rq_pa_page;
+    j_guest_hash = Hostir.Reloc.hash64 (Jit.guest_bytes req (Jit.member_spans req));
     j_outcome = None;
   }
 
-(* The members' guest bytes as they are in memory right now, hashed for
-   comparison against [j_guest_hash] before an async install: a job
-   whose source bytes changed since enqueue is rejected even if the
-   page's invalidation generation did not move. *)
-let live_guest_hash (e : t) (job : region_job) : int64 =
-  let pa_page = job.j_req.rq_pa_page in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun m ->
-      let pa_m = Int64.logor pa_page (Int64.logand m.t_va 0xFFFL) in
-      Buffer.add_bytes buf
-        (read_guest_bytes e ~pa:pa_m ~len:(e.guest.Ops.insn_size * m.t_n_guest)))
-    job.j_members;
-  Hostir.Reloc.hash64 (Buffer.to_bytes buf)
-
-(* The pure job runner: (page snapshot, member descriptors, regime,
-   opt config) -> (certified encoded program, stats delta, finding
-   logs).  Runs on a worker domain, or inline on the vCPU when
-   [domains <= 1]; reads nothing but [je] and [req] — never the engine,
-   the machine, or live guest memory.  Intra-region control flow
-   becomes a PC-compare dispatch per member, straightened into direct
-   jumps where the target is static, with no per-block prologue and
-   cross-block dead register-file stores eliminated.  Members keep
-   their own tier-0 cache entries (the region replaces only the
-   head's), so a mid-region exit falls back to block-at-a-time
-   execution; every member entry begins with a [Poll] safepoint, so
-   interrupts, regime changes (the poison register) and the run loop's
-   cycle/block budgets are honoured at block granularity exactly like
-   the baseline dispatch loop.  Exceptions (a writeback-discipline
-   violation from [Verify.check_wb_exn]) propagate to the caller, which
-   wraps them as [R_exn] on the async path. *)
-let run_region_job (je : jit_env) (req : region_request) : region_result =
-  let s = new_phase_stats () in
-  let v_log = ref [] and a_log = ref [] and r_log = ref [] in
-  let cfg = je.je_config in
-  let el = req.rq_el and mmu_on = req.rq_mmu in
-  let pa_head = Int64.logor req.rq_pa_page (Int64.logand req.rq_head_va 0xFFFL) in
-  let n_members = List.length req.rq_members in
-  s.regions_formed <- 1;
-  s.region_blocks <- n_members;
-  let t1 = now () in
-  let model = je.je_guest.Ops.model in
-  let dag = Dag.create (dag_config_env je ~mmu_on) in
-  let em = Dag.emitter dag in
-  let entries = List.map (fun md -> (md, em.Ssa.Emitter.create_block ())) req.rq_members in
-  let entry_label va =
-    List.find_map (fun (md, l) -> if Int64.equal md.md_va va then Some l else None) entries
-  in
-  let dispatch_labels = ref Hostir.Region.Iset.empty in
-  let n_guest = ref 0 in
-  (* Per-member decode record, kept only when validation is on: enough
-     for Hostir.Equiv to re-create the member/dispatch skeleton. *)
-  let member_refs = ref [] in
-  let keep_ref mr = if cfg.validate_translations then member_refs := mr :: !member_refs in
-  List.iteri
-    (fun mi (md, l) ->
-      em.Ssa.Emitter.set_block l;
-      Dag.raw dag (Hir.Poll 0);
-      let decoded, undef = decode_block_pure je ~snapshot:req.rq_snapshot ~va:md.md_va ~off:md.md_off in
-      if undef || decoded = [] then begin
-        (* cannot happen for an already-translated member; bail to the
-           dispatcher rather than mistranslate *)
-        keep_ref
-          { Hostir.Equiv.mb_va = md.md_va; mb_items = []; mb_undef = true; mb_targets = [] };
-        Dag.raw dag (Hir.Exit 0)
-      end
-      else begin
-        n_guest := !n_guest + List.length decoded;
-        List.iter
-          (fun d ->
-            let action = Ssa.Offline.action model d.Adl.Decode.name in
-            let field = field_of ~el d in
-            let inc_pc =
-              if d.Adl.Decode.ends_block then None else Some je.je_guest.Ops.insn_size
-            in
-            Ssa.Gen.translate em action ~field ~inc_pc)
-          decoded;
-        (* Member epilogue: PC-compare dispatch to the profiled
-           in-region successors, hottest first; anything else exits to
-           the engine dispatcher. *)
-        let l_d = em.Ssa.Emitter.create_block () in
-        Dag.raw dag (Hir.Jmp l_d);
-        em.Ssa.Emitter.set_block l_d;
-        dispatch_labels := Hostir.Region.Iset.add l_d !dispatch_labels;
-        let targets =
-          List.filter_map
-            (fun va -> Option.map (fun lt -> (va, lt)) (entry_label va))
-            md.md_succs
-        in
-        keep_ref
-          {
-            Hostir.Equiv.mb_va = md.md_va;
-            mb_items = equiv_items_env je ~el decoded;
-            mb_undef = false;
-            mb_targets = List.map fst targets;
-          };
-        let pc = Dag.fresh_vreg dag in
-        if targets <> [] then Dag.raw dag (Hir.Load_pc pc);
-        List.iter
-          (fun (va_t, lt) ->
-            let c = Dag.fresh_vreg dag in
-            Dag.raw dag (Hir.Setcc (Hir.Ceq, c, pc, Hir.Imm va_t));
-            let l_next = em.Ssa.Emitter.create_block () in
-            Dag.raw dag (Hir.Br (c, lt, l_next));
-            em.Ssa.Emitter.set_block l_next)
-          targets;
-        (* Slot mi+1: this member's own exit site, so the engine can
-           patch a per-site chain edge (slot 0 = safepoint bail,
-           never chained). *)
-        Dag.raw dag (Hir.Exit (mi + 1))
-      end)
-    entries;
-  let instrs = Dag.finish dag in
-  let member_entry = List.map (fun (md, l) -> (md.md_va, l)) entries in
-  let n0 = Array.length instrs in
-  let instrs =
-    Hostir.Region.optimize ~dispatch_labels:!dispatch_labels ~member_entry instrs
-  in
-  s.region_dead_stores <- s.region_dead_stores + (n0 - Array.length instrs);
-  s.t_translate <- s.t_translate +. (now () -. t1);
-  s.t_region <- s.t_region +. (now () -. t1);
-  let t2 = now () in
-  let t_simplify = ref 0. in
-  let instrs, ra, promoted =
-    if not cfg.promote then (instrs, Regalloc.run instrs, [])
-    else begin
-      (* Promotion widens live ranges across the whole region, and a
-         promoted access through a spill slot costs more than the
-         [Ldrf] it replaced — so promotion is only accepted when
-         allocation stays spill-free relative to the unpromoted
-         stream, narrowing the candidate set until it does.  Width 0
-         still runs copy propagation and memory redundancy
-         elimination. *)
-      let ra0 = Regalloc.run instrs in
-      let rec attempt k =
-        let promoted_instrs, promoted, ps =
-          Hostir.Promote.run ~max_regs:k ~classify:Common.helper_kind instrs
-        in
-        (* The O4 absint-simplify pass, on the flattened promoted
-           stream where its facts materialize: fold decided branches,
-           delete cross-block dead definitions, drop proved-redundant
-           masks, strength-reduce division.  The writeback discipline
-           is re-proved below on the simplified stream. *)
-        let instrs', ss =
-          if cfg.absint_simplify then begin
-            let ts = now () in
-            let r =
-              Hostir.Absint.simplify ~classify:Common.helper_kind promoted_instrs
-            in
-            t_simplify := !t_simplify +. (now () -. ts);
-            r
-          end
-          else (promoted_instrs, Hostir.Absint.empty_simplify_stats ())
-        in
-        let ra' = Regalloc.run instrs' in
-        if ra'.Regalloc.n_spilled <= ra0.Regalloc.n_spilled then begin
-          (* Always-on safety net: a region whose safepoint, exit or
-             faulting access is reachable with an uncovered dirty
-             promoted register would silently corrupt guest state.
-             Checked on the promoter's own output first — a promotion
-             bug must surface here, before simplify's dead-code pass
-             can delete the dirty definition that would incriminate
-             it — and again on the simplified stream the engine
-             actually runs. *)
-          let wb_what pass =
-            Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d pass=%s" pa_head
-              req.rq_head_va n_members pass
-          in
-          Hostir.Verify.check_wb_exn ~what:(wb_what "promote")
-            ~classify:Common.helper_kind ~promoted promoted_instrs;
-          if cfg.absint_simplify then
-            Hostir.Verify.check_wb_exn ~what:(wb_what "absint-simplify")
-              ~classify:Common.helper_kind ~promoted instrs';
-          s.rf_promoted <- s.rf_promoted + ps.Hostir.Promote.promoted;
-          s.region_wb_entries <- s.region_wb_entries + ps.Hostir.Promote.wb_entries;
-          s.mem_loads_elided <- s.mem_loads_elided + ps.Hostir.Promote.loads_elided;
-          s.stores_forwarded <- s.stores_forwarded + ps.Hostir.Promote.stores_forwarded;
-          s.absint_branches_folded <-
-            s.absint_branches_folded + ss.Hostir.Absint.branches_folded;
-          s.absint_consts_folded <- s.absint_consts_folded + ss.Hostir.Absint.consts_folded;
-          s.absint_masks_dropped <- s.absint_masks_dropped + ss.Hostir.Absint.masks_dropped;
-          s.absint_divs_reduced <- s.absint_divs_reduced + ss.Hostir.Absint.divs_reduced;
-          s.absint_dead_deleted <- s.absint_dead_deleted + ss.Hostir.Absint.dead_deleted;
-          (instrs', ra', promoted)
-        end
-        else if k = 0 then (instrs, ra0, [])
-        else attempt (k - 1)
-      in
-      attempt cfg.promote_max_regs
-    end
-  in
-  s.spills <- s.spills + ra.Regalloc.n_spilled;
-  (* The simplify pass runs inside the allocation window; account it
-     to the analysis phase so the bench breakdown separates them. *)
-  s.t_regalloc <- s.t_regalloc +. (now () -. t2 -. !t_simplify);
-  s.t_analyze <- s.t_analyze +. !t_simplify;
-  if cfg.analyze_translations then
-    analyze_translation_into ~s ~log:a_log
-      ~what:(Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d" pa_head req.rq_head_va n_members)
-      ~region:true ~promoted ~pre:instrs ra;
-  (* Symbolic translation validation of the final pre-regalloc stream
-     (region passes, promotion and Wbmap included).  Regions are few
-     and load-bearing, so they are always validated when enabled, with
-     no [validate_every] sampling. *)
-  (if cfg.validate_translations then begin
-     let tv = now () in
-     let outcome =
-       Hostir.Equiv.check_region ~classify:Common.helper_kind
-         ~config:(dag_config_env je ~mmu_on) ~init_pc:(Hostir.Symexec.Const req.rq_head_va)
-         ~opt:instrs (List.rev !member_refs)
-     in
-     record_validation_into ~s ~log:v_log
-       ~what:(Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d" pa_head req.rq_head_va n_members)
-       ~region:true outcome;
-     s.t_validate <- s.t_validate +. (now () -. tv)
-   end);
-  let t3 = now () in
-  let code = Encode.encode ra in
-  let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
-  s.t_encode <- s.t_encode +. (now () -. t3);
-  let n_host = Array.length instrs in
-  s.region_host_instrs <- s.region_host_instrs + n_host;
-  (* Relocation-cleanliness certification runs inside the job — it is a
-     pure function of the encoded bytes — and the certificate travels
-     with the result; persistence happens at install on the vCPU. *)
-  let cert =
-    if cfg.reloc_check || cfg.aot_dir <> None then
-      certify_translation_into je ~s ~log:r_log
-        ~what:(Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d" pa_head req.rq_head_va n_members)
-        ~region:true ~n_exits:n_members ~n_slots:ra.Regalloc.n_slots ~ra code
-    else None
-  in
-  {
-    r_program = program;
-    r_code = code;
-    r_cert = cert;
-    r_n_guest = !n_guest;
-    r_n_host = n_host;
-    r_n_slots = ra.Regalloc.n_slots;
-    r_n_exits = n_members;
-    r_stats = s;
-    r_validation_log = !v_log;
-    r_analysis_log = !a_log;
-    r_reloc_log = !r_log;
-  }
+let install_job (e : t) (job : region_job) (res : Jit.result) =
+  ignore (install e ~members:job.j_members ~async:(job.j_gen, job.j_guest_hash) job.j_req res)
 
 (* --- the worker pool ------------------------------------------------------------- *)
 
 (* Worker-domain main loop: pop a job, run it pure, hand the outcome
    back under the pool lock.  Workers never touch the engine — the vCPU
    installs results from [drain_jobs] at dispatch granularity. *)
-let rec worker_loop (je : jit_env) (p : pool) : unit =
+let rec worker_loop (je : Jit.jit_env) (p : pool) : unit =
   Mutex.lock p.p_mu;
   while p.p_pending = [] && not p.p_stop do
     Condition.wait p.p_cv p.p_mu
@@ -2056,12 +862,13 @@ let rec worker_loop (je : jit_env) (p : pool) : unit =
   | job :: rest ->
     p.p_pending <- rest;
     Mutex.unlock p.p_mu;
-    let outcome = try R_ok (run_region_job je job.j_req) with exn -> R_exn exn in
+    let outcome = try Ok (Jit.run je job.j_req) with exn -> Error exn in
     Mutex.lock p.p_mu;
     job.j_outcome <- Some outcome;
     p.p_done <- p.p_done @ [ job ];
     Mutex.unlock p.p_mu;
     worker_loop je p
+
 
 (* The pool is spawned lazily on the first enqueue, so a [domains = 1]
    engine (and every engine until its first hot crossing) never pays
@@ -2086,132 +893,6 @@ let ensure_pool (e : t) : pool =
     e.pool <- Some p;
     p
 
-(* Install a finished region unit into the engine.  [async] selects the
-   publish protocol: the synchronous path publishes unconditionally
-   (nothing can have moved under it — the job ran inline), the async
-   path re-hashes the members' live guest bytes and then publishes
-   through the page-generation check, rejecting the install as stale
-   when either moved while the job was in flight. *)
-let install_region ~async (e : t) (job : region_job) (res : region_result) : unit =
-  let s = e.stats in
-  let head = job.j_head in
-  let members = job.j_members in
-  let el = job.j_req.rq_el and mmu_on = job.j_req.rq_mmu in
-  let pa_page = job.j_req.rq_pa_page in
-  let region =
-    {
-      t_key = head.t_key;
-      t_va = head.t_va;
-      t_program = res.r_program;
-      t_n_guest = res.r_n_guest;
-      t_n_host = res.r_n_host;
-      t_bytes = Bytes.length res.r_code;
-      t_chain = None;
-      t_exec_count = 0;
-      t_cycles = 0;
-      t_tier = 1;
-      t_members = List.length members;
-      t_succs = [];
-      t_exits = Array.make res.r_n_exits None;
-    }
-  in
-  (* The head's page entry already covers the region: all members live
-     on the head's page, so one SMC invalidation sweeps the region unit
-     and every member, demoting the whole page to tier 0. *)
-  let published =
-    if not async then begin
-      Codecache.publish e.cache region.t_key region;
-      true
-    end
-    else
-      Int64.equal (live_guest_hash e job) job.j_guest_hash
-      && Codecache.publish_if e.cache region.t_key ~gen:job.j_gen region
-  in
-  if not published then begin
-    (* Stale: the page was invalidated (or rewritten) since enqueue.
-       Drop the result and demote the head so profiling can retry
-       against the current bytes. *)
-    s.jobs_stale <- s.jobs_stale + 1;
-    head.t_tier <- 0;
-    head.t_exec_count <- 0
-  end
-  else begin
-    add_stats s res.r_stats;
-    e.validation_log <- append_capped e.validation_log res.r_validation_log;
-    e.analysis_log <- append_capped e.analysis_log res.r_analysis_log;
-    e.reloc_log <- append_capped e.reloc_log res.r_reloc_log;
-    (if async then charge_translate_async else charge_translate) e
-      ((1400 * res.r_n_guest) + (260 * res.r_n_host));
-    if async then s.jobs_installed <- s.jobs_installed + 1;
-    List.iter (fun m -> m.t_tier <- 1) members;
-    (* Drop the replaced head's chain edge, and unlink every chain edge
-       that targets the replaced head record: predecessors must relink
-       through the cache (one dispatch lookup) so the hot path migrates
-       into the region unit instead of chaining into the orphaned tier-0
-       head forever. *)
-    head.t_chain <- None;
-    Codecache.iter
-      (fun _ tr ->
-        (match tr.t_chain with
-        | Some (_, _, tgt) when tgt == head -> tr.t_chain <- None
-        | _ -> ());
-        Array.iteri
-          (fun i edge ->
-            match edge with
-            | Some (_, _, tgt) when tgt == head -> tr.t_exits.(i) <- None
-            | _ -> ())
-          tr.t_exits)
-      e.cache;
-    (match e.sanitizer with
-    | Some sa ->
-      List.iter
-        (fun m ->
-          let pa_m = Int64.logor pa_page (Int64.logand m.t_va 0xFFFL) in
-          Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa:pa_m ~el
-            ~mmu:mmu_on ~len:(4 * m.t_n_guest))
-        members
-    | None -> ());
-    (* Persistence of the job's certificate, with the per-member
-       VAs/lengths as part of the key: a warm boot reuses the unit only
-       when runtime profiling selects the identical member set.  Regions
-       whose members failed to re-decode (guest instr counts disagree)
-       are never persisted. *)
-    match res.r_cert with
-    | Some cert
-      when res.r_n_guest = List.fold_left (fun a m -> a + m.t_n_guest) 0 members
-           && List.for_all (fun m -> m.t_n_guest > 0) members -> (
-      match e.aot with
-      | Some cache ->
-        let pa_head, _, _ = head.t_key in
-        let mems = List.map (fun m -> (m.t_va, e.guest.Ops.insn_size * m.t_n_guest)) members in
-        let guest = Buffer.create 256 in
-        List.iter
-          (fun (va_m, len) ->
-            let pa_m = Int64.logor pa_page (Int64.logand va_m 0xFFFL) in
-            Buffer.add_bytes guest (read_guest_bytes e ~pa:pa_m ~len))
-          mems;
-        Aotcache.store cache
-          {
-            Aotcache.e_kind = 1;
-            e_va = head.t_va;
-            e_pa = pa_head;
-            e_el = el;
-            e_mmu = mmu_on;
-            e_cfg = aot_cfg_sig e;
-            e_members = Array.of_list mems;
-            e_guest = Buffer.to_bytes guest;
-            e_n_slots = res.r_n_slots;
-            e_n_exits = res.r_n_exits;
-            e_n_guest = res.r_n_guest;
-            e_n_host = res.r_n_host;
-            e_code = res.r_code;
-            e_hash = cert.Hostir.Reloc.c_hash;
-          };
-        s.aot_stores <- s.aot_stores + 1
-      | None -> ())
-    | Some _ | None -> ()
-  end
-
 (* Queue a job for the worker pool.  The queue is bounded, so a burst
    of hot crossings cannot pile up unbounded translation work; a
    dropped job demotes the head (and takes back its promotion count),
@@ -2230,8 +911,7 @@ let enqueue_job (e : t) (job : region_job) : unit =
     Mutex.unlock p.p_mu;
     s.jobs_dropped <- s.jobs_dropped + 1;
     s.promotions <- s.promotions - 1;
-    job.j_head.t_tier <- 0;
-    job.j_head.t_exec_count <- 0
+    demote (List.hd job.j_members)
   end
 
 (* Install whatever the workers have finished.  Called from the run
@@ -2269,50 +949,32 @@ let drain_jobs (e : t) : unit =
       (fun job ->
         e.stats.jobs_completed <- e.stats.jobs_completed + 1;
         match job.j_outcome with
-        | Some (R_ok res) -> install_region ~async:true e job res
-        | Some (R_exn exn) -> raise exn
+        | Some (Ok res) -> install_job e job res
+        | Some (Error exn) -> raise exn
         | None -> assert false)
       taken
 
 (* A block reaching the hot threshold must run pipeline-quality code
    from here on — the template tier is a cold-boot device, not a
    steady-state one.  Re-translate the template-stitched record through
-   the full pipeline; the replacement inherits the profile, and chain
-   edges into the replaced record are unlinked so predecessors relink
-   through the cache (one dispatch lookup) into the new code. *)
-let repipeline (e : t) sys (old : translation) : translation =
+   the full pipeline; the replacement inherits the profile, and install
+   unlinks chain edges into the replaced record. *)
+let repipeline (e : t) (old : translation) : translation =
   let pa, el, mmu_on = old.t_key in
-  let fresh = translate_block_pipeline e sys ~va:old.t_va ~pa ~el ~mmu_on in
+  let fresh = translate_block e ~kind:Jit.Block ~va:old.t_va ~pa ~el ~mmu_on in
   fresh.t_exec_count <- old.t_exec_count;
   fresh.t_succs <- old.t_succs;
-  old.t_chain <- None;
-  Codecache.iter
-    (fun _ tr ->
-      (match tr.t_chain with
-      | Some (_, _, tgt) when tgt == old -> tr.t_chain <- None
-      | _ -> ());
-      Array.iteri
-        (fun i edge ->
-          match edge with
-          | Some (_, _, tgt) when tgt == old -> tr.t_exits.(i) <- None
-          | _ -> ())
-        tr.t_exits)
-    e.cache;
   fresh
 
 (* Promote a hot tier-0 (or template) block: select members, then
    either translate the region inline ([domains <= 1] — bit-identical
    in cycles and stats to the pre-concurrency engine) or enqueue the
    formation job and keep executing the current code while a worker
-   domain translates.  Template-tier records among the head and members
-   are first re-translated through the pipeline, so every tier-1
-   translation (and every record a failed job demotes back to tier 0)
-   is pipeline-built. *)
-let promote_block (e : t) sys (head : translation) : unit =
-  let s = e.stats in
-  let pa_head, el, mmu_on = head.t_key in
-  let pa_page = Bits.align_down pa_head 4096 in
-  s.promotions <- s.promotions + 1;
+   domain translates.  A template-tier lone head is re-translated
+   through the pipeline, so every tier-1 translation (and every record a
+   failed job demotes back to tier 0) is pipeline-built. *)
+let promote_block (e : t) (head : translation) : unit =
+  e.stats.promotions <- e.stats.promotions + 1;
   let was_template = head.t_tier < 0 in
   head.t_tier <- 1;
   let members, self_loop = select_members e head in
@@ -2323,17 +985,17 @@ let promote_block (e : t) sys (head : translation) : unit =
        needed: the hot path (region entry + chained exits) runs
        pipeline-built code, and the members' stand-alone records only
        serve stray direct dispatches. *)
-    if not (aot_try_region e ~head ~members ~pa_page ~el ~mmu_on) then begin
-      let job = make_region_job e ~head ~members in
-      if e.config.domains <= 1 then
-        install_region ~async:false e job (run_region_job e.jenv job.j_req)
-      else enqueue_job e job
-    end
+    let req = region_request e ~head ~members in
+    match aot_probe e req with
+    | Some res -> ignore (install e ~members req res)
+    | None ->
+      if e.config.domains <= 1 then ignore (install e ~members req (Jit.run e.jenv req))
+      else enqueue_job e (make_region_job e ~req ~members)
   end
   else if was_template then begin
     (* Lone hot head, no region formed: its record stays published, so
        re-translate it through the pipeline at the promoted tier. *)
-    let fresh = repipeline e sys head in
+    let fresh = repipeline e head in
     fresh.t_tier <- 1
   end
 
@@ -2395,6 +1057,7 @@ let prepare_as (e : t) va =
 
 let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
   let sys = Common.sys_ctx e.guest e.ctx in
+  let block_kind = if e.config.templates && e.config.tiering then Jit.Template else Jit.Block in
   (* Region safepoints honour this run's cycle ceiling. *)
   e.ctx.Exec.poll_deadline <- max_cycles;
   let result = ref None in
@@ -2424,7 +1087,7 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
            let tr =
              match Codecache.lookup e.cache key with
              | Some tr -> tr
-             | None -> translate_block e sys ~va ~pa ~el ~mmu_on
+             | None -> translate_block e ~kind:block_kind ~va ~pa ~el ~mmu_on
            in
            prepare_as e va;
            (* Execute, following chain links while they hit. *)
@@ -2463,7 +1126,7 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
                if e.config.tiering && !cur.t_tier <= 0 then begin
                  record_succ !cur next_va next_el;
                  if !cur.t_n_guest > 0 && !cur.t_exec_count >= e.config.hot_threshold then
-                   promote_block e sys !cur
+                   promote_block e !cur
                end;
                if
                  e.config.chaining
@@ -2568,9 +1231,8 @@ let template_miss_table (e : t) : (string * int) list =
   |> List.sort (fun (n1, c1) (n2, c2) ->
        if c1 <> c2 then compare c2 c1 else compare n1 n2)
 
-(* The engine's template table report, empty when the table was never
-   touched (templates off, or nothing translated). *)
-let template_report (e : t) : Hostir.Template.form_report list =
-  match e.templates with Some tt -> Hostir.Template.report tt | None -> []
-
-let template_table (e : t) : Hostir.Template.t = templates_of e
+(* The engine's template table (mined lazily, so it doubles as a warm-up
+   memo of the offline mine-templates artifact) and its report, empty
+   when nothing was stitched. *)
+let template_table (e : t) : Hostir.Template.t = e.jenv.Jit.je_templates
+let template_report (e : t) = Hostir.Template.report (template_table e)

@@ -20,6 +20,7 @@
 
 module CC = Captive.Codecache
 module CE = Captive.Engine
+module J = Captive.Jit
 module K = Workloads.Kernel
 module MS = Workloads.Mmu_stress
 module San = Hvm.Sanitize
@@ -156,6 +157,11 @@ let engine_with_head () =
   | Some head -> (e, head)
   | None -> Alcotest.fail "no tier-0 block in cache"
 
+(* A region job headed by [head], captured as the engine would enqueue it. *)
+let region_job e head =
+  let members, _ = CE.select_members e head in
+  CE.make_region_job e ~req:(CE.region_request e ~head ~members) ~members
+
 (* Generation path: the page is invalidated (SMC) while the job is
    notionally on a worker; the install must be refused by the
    [publish_if] tombstone even though the bytes were restored
@@ -163,13 +169,12 @@ let engine_with_head () =
    entries removed from the cache). *)
 let test_smc_in_flight_generation () =
   let e, head = engine_with_head () in
-  let members, _ = CE.select_members e head in
-  let job = CE.make_region_job e ~head ~members in
-  let pa_page = job.CE.j_req.CE.rq_pa_page in
+  let job = region_job e head in
+  let pa_page = job.CE.j_req.J.rq_pa_page in
   let stale0 = e.CE.stats.CE.jobs_stale in
   CE.invalidate_page e pa_page;
-  let res = CE.run_region_job e.CE.jenv job.CE.j_req in
-  CE.install_region ~async:true e job res;
+  let res = J.run e.CE.jenv job.CE.j_req in
+  CE.install_job e job res;
   Alcotest.(check int) "install counted stale" (stale0 + 1) e.CE.stats.CE.jobs_stale;
   Alcotest.(check bool) "stale region not served" true
     (CC.lookup e.CE.cache head.CE.t_key = None);
@@ -181,29 +186,222 @@ let test_smc_in_flight_generation () =
    bytes must never install. *)
 let test_smc_in_flight_hash () =
   let e, head = engine_with_head () in
-  let members, _ = CE.select_members e head in
-  let job = CE.make_region_job e ~head ~members in
-  let res = CE.run_region_job e.CE.jenv job.CE.j_req in
+  let job = region_job e head in
+  let res = J.run e.CE.jenv job.CE.j_req in
   let pa_head, _, _ = head.CE.t_key in
   (* raw write: bypasses phys_write and thus the invalidate hook *)
   let mem = e.CE.machine.Hvm.Machine.mem in
   Hvm.Mem.write8 mem pa_head (Int64.logxor (Hvm.Mem.read8 mem pa_head) 0xFFL);
   let stale0 = e.CE.stats.CE.jobs_stale in
-  CE.install_region ~async:true e job res;
+  CE.install_job e job res;
   Alcotest.(check int) "install counted stale" (stale0 + 1) e.CE.stats.CE.jobs_stale
 
 (* Control: with neither SMC path triggered, the same job installs. *)
 let test_in_flight_clean_installs () =
   let e, head = engine_with_head () in
-  let members, _ = CE.select_members e head in
-  let job = CE.make_region_job e ~head ~members in
-  let res = CE.run_region_job e.CE.jenv job.CE.j_req in
+  let job = region_job e head in
+  let members = job.CE.j_members in
+  let res = J.run e.CE.jenv job.CE.j_req in
   let installed0 = e.CE.stats.CE.jobs_installed in
-  CE.install_region ~async:true e job res;
+  CE.install_job e job res;
   Alcotest.(check int) "install counted" (installed0 + 1) e.CE.stats.CE.jobs_installed;
   (match CC.lookup e.CE.cache head.CE.t_key with
   | Some tr -> Alcotest.(check int) "region published" (List.length members) tr.CE.t_members
   | None -> Alcotest.fail "region not published")
+
+(* --- engine: block and template jobs are pure ----------------------------- *)
+
+(* A run that never promotes: every block stays a template-stitched
+   tier -1 record, each a ready-made block or template request. *)
+let cold_config = { CE.default_config with CE.hot_threshold = max_int }
+
+let find_record e pred =
+  match CC.fold (fun _ tr acc -> if acc = None && pred tr then Some tr else acc) e.CE.cache None with
+  | Some tr -> tr
+  | None -> Alcotest.fail "no matching record in the cache"
+
+(* The stats delta minus its wall-clock timers. *)
+let counters (s : CE.phase_stats) =
+  { s with
+    CE.t_decode = 0.;
+    t_translate = 0.;
+    t_regalloc = 0.;
+    t_encode = 0.;
+    t_template = 0.;
+    t_tier0 = 0.;
+    t_region = 0.;
+    t_validate = 0.;
+    t_analyze = 0.;
+    t_reloc = 0.;
+  }
+
+let test_block_job_purity () =
+  let e, _ = run_arm_stress cold_config in
+  let tr = find_record e (fun tr -> tr.CE.t_tier = -1 && tr.CE.t_n_guest > 1) in
+  let pa, el, mmu_on = tr.CE.t_key in
+  List.iter
+    (fun (name, kind) ->
+      let req = CE.block_request e ~kind ~va:tr.CE.t_va ~pa ~el ~mmu_on ~validate:true in
+      let r1 = J.run e.CE.jenv req in
+      let r2 = J.run e.CE.jenv req in
+      let same what (r : J.result) =
+        Alcotest.(check bool) (name ^ ": " ^ what ^ ": same code") true (Bytes.equal r1.J.r_code r.J.r_code);
+        Alcotest.(check bool) (name ^ ": " ^ what ^ ": same stats delta") true
+          (counters r1.J.r_stats = counters r.J.r_stats)
+      in
+      same "rerun" r2;
+      (* raw write: the request's snapshot, not guest memory, is what
+         the job translates *)
+      let mem = e.CE.machine.Hvm.Machine.mem in
+      let old = Hvm.Mem.read8 mem pa in
+      Hvm.Mem.write8 mem pa (Int64.logxor old 0xFFL);
+      same "after a guest write" (J.run e.CE.jenv req);
+      Hvm.Mem.write8 mem pa old)
+    [ ("block", J.Block); ("template", J.Template) ]
+
+(* --- engine: chain edges stay coherent across replace and remove ---------- *)
+
+(* A loop whose body spans two guest pages, so its blocks chain into
+   each other across a page boundary. *)
+let two_page_loop () =
+  let module A = Guest_arm.Arm_asm in
+  let a = A.create ~base:K.user_va () in
+  A.movz a A.x1 200;
+  A.label a "loop";
+  A.sub_imm a A.x1 A.x1 1;
+  A.b a "far";
+  while Int64.logand (A.here a) 0xFFFL <> 0L do
+    A.nop a
+  done;
+  A.label a "far";
+  A.cbnz a A.x1 "loop";
+  A.movz a A.x0 0;
+  A.movz a A.x8 0;
+  A.svc a 0;
+  A.assemble a
+
+let run_two_page config =
+  let e = CE.create ~config (Guest_arm.Arm.ops ()) in
+  K.install (K.captive_target e) ~user:(two_page_loop ());
+  let code = match CE.run ~max_cycles:100_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  Alcotest.(check int) "loop ran" 0 code;
+  e
+
+let live e (tgt : CE.translation) =
+  match CC.lookup e.CE.cache tgt.CE.t_key with Some cur -> cur == tgt | None -> false
+
+(* Every chain edge of every published record must target the record
+   currently published under the target's key: a chain hit bypasses the
+   cache, so an edge into a replaced or invalidated record runs stale
+   code. *)
+let check_edges what e =
+  let ok = function None -> true | Some (_, _, tgt) -> live e tgt in
+  CC.iter
+    (fun _ tr ->
+      if not (ok tr.CE.t_chain && Array.for_all ok tr.CE.t_exits) then
+        Alcotest.failf "%s: an edge of va 0x%Lx targets a stale record" what tr.CE.t_va)
+    e.CE.cache
+
+let page_of (tr : CE.translation) =
+  let pa, _, _ = tr.CE.t_key in
+  Int64.logand pa (Int64.lognot 0xFFFL)
+
+(* A published record matching [pred] that another record chains into
+   (from another page with [cross_page]: one an invalidation of the
+   target's page leaves published), so the event replacing or removing
+   it has an edge to unlink. *)
+let edge_target ?(cross_page = false) e pred =
+  let targets =
+    CC.fold
+      (fun _ tr acc ->
+        List.fold_left
+          (fun acc edge ->
+            match edge with
+            | Some (_, _, tgt)
+              when pred tgt && tgt != tr && live e tgt
+                   && ((not cross_page) || page_of tgt <> page_of tr) ->
+              tgt :: acc
+            | _ -> acc)
+          acc
+          (tr.CE.t_chain :: Array.to_list tr.CE.t_exits))
+      e.CE.cache []
+  in
+  match targets with tgt :: _ -> tgt | [] -> Alcotest.fail "no chained-into record"
+
+let plain tr = tr.CE.t_members = 1 && Array.length tr.CE.t_exits = 0 && tr.CE.t_n_guest > 0
+
+let install_region_sync e ~head ~members =
+  let req = CE.region_request e ~head ~members in
+  ignore (CE.install e ~members req (J.run e.CE.jenv req))
+
+let with_aot_dir f =
+  let dir = Filename.temp_file "captive_chain_test" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+(* One row per event that replaces or removes a published record: each
+   runs the workload without promotion, applies the event to a record
+   other pages chain into, and returns the engine to check. *)
+let chain_edge_events =
+  let on_target ?cross_page pred event () =
+    let e = run_two_page cold_config in
+    event e (edge_target ?cross_page e pred);
+    e
+  in
+  [
+    ( "region install (sync)",
+      on_target plain (fun e head ->
+          let members, _ = CE.select_members e head in
+          install_region_sync e ~head ~members) );
+    ( "region install (async)",
+      on_target plain (fun e head ->
+          let job = region_job e head in
+          CE.install_job e job (J.run e.CE.jenv job.CE.j_req);
+          Alcotest.(check int) "async install published" 1 e.CE.stats.CE.jobs_installed) );
+    ( "AOT region install",
+      fun () ->
+        with_aot_dir (fun dir ->
+            let config = { cold_config with CE.aot_dir = Some dir } in
+            (* a first boot persists a region unit... *)
+            let a = run_two_page config in
+            let head = edge_target a plain in
+            let members, _ = CE.select_members a head in
+            install_region_sync a ~head ~members;
+            (* ...which a second boot reinstalls from disk over the same
+               blocks *)
+            let b = run_two_page config in
+            let members =
+              List.map
+                (fun m ->
+                  match CC.lookup b.CE.cache m.CE.t_key with
+                  | Some tr -> tr
+                  | None -> Alcotest.fail "member not translated on the second boot")
+                members
+            in
+            let head = List.hd members in
+            Alcotest.(check bool) "head chained into" true (edge_target b (fun tr -> tr == head) == head);
+            let req = CE.region_request b ~head ~members in
+            match CE.aot_probe b req with
+            | Some res ->
+              Alcotest.(check bool) "loaded from disk" true res.J.r_aot;
+              ignore (CE.install b ~members req res);
+              b
+            | None -> Alcotest.fail "no AOT region entry") );
+    ( "repipeline of a hot template head",
+      on_target (fun tr -> plain tr && tr.CE.t_tier = -1) (fun e head ->
+          ignore (CE.repipeline e head)) );
+    ( "SMC invalidation",
+      on_target ~cross_page:true plain (fun e head -> CE.invalidate_page e (page_of head)) );
+  ]
+
+let test_chain_edges () =
+  List.iter (fun (name, event) -> check_edges name (event ())) chain_edge_events
 
 (* --- engine: multi-domain equivalence and determinism ------------------- *)
 
@@ -271,6 +469,8 @@ let suite =
         test_smc_in_flight_generation;
       Alcotest.test_case "SMC in flight: guest-byte hash" `Slow test_smc_in_flight_hash;
       Alcotest.test_case "clean in-flight install" `Slow test_in_flight_clean_installs;
+      Alcotest.test_case "block and template jobs are pure" `Slow test_block_job_purity;
+      Alcotest.test_case "chain edges target published records" `Slow test_chain_edges;
       Alcotest.test_case "multi-domain equivalence" `Slow test_multi_domain_equivalence;
       Alcotest.test_case "single-domain determinism" `Slow test_single_domain_determinism;
       Alcotest.test_case "counters merge across domains" `Quick test_counters_merge;

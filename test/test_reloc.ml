@@ -366,6 +366,68 @@ let test_aot_warm_boot () =
         Alcotest.failf "warm boot translated too much: %d vs cold %d" sw.CE.translate_cycles
           sc.CE.translate_cycles)
 
+(* --- the AOT block probe must not trust a guest span read from disk ------------- *)
+
+(* A user program whose first block is [movz x0, 'A'; movz x8, nr; svc]:
+   with [nr = 1] it prints 'A' and exits 0, with [nr = 0] the first
+   syscall already exits with code 65.  The two images differ only in
+   the block's second instruction. *)
+let first_block_user ~nr =
+  let module A = Guest_arm.Arm_asm in
+  let a = A.create ~base:K.user_va () in
+  A.movz a A.x0 (Char.code 'A');
+  A.movz a A.x8 nr;
+  A.svc a 0;
+  A.movz a A.x0 0;
+  A.movz a A.x8 0;
+  A.svc a 0;
+  A.assemble a
+
+let boot_user ?aot_dir user =
+  let e = CE.create ~config:{ CE.default_config with CE.aot_dir } (Guest_arm.Arm.ops ()) in
+  K.install (K.captive_target e) ~user;
+  let code = match CE.run ~max_cycles:100_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  (e, code)
+
+(* Cut every stored block entry of the user entry point down to its
+   first instruction's bytes, keeping the instruction count: still a
+   parseable entry (member lengths agree with the blob, the code hash is
+   intact), but one that covers fewer bytes than it translates. *)
+let truncate_entry_block dir =
+  let truncated = ref 0 in
+  Array.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      let ic = open_in_bin path in
+      let b = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let en = AC.read_entry (Bytes.of_string b) in
+      if en.AC.e_kind <> 1 && Int64.equal en.AC.e_va K.user_va && en.AC.e_n_guest > 1 then begin
+        Sys.remove path;
+        AC.store (AC.open_dir dir)
+          { en with AC.e_guest = Bytes.sub en.AC.e_guest 0 4; e_members = [| (K.user_va, 4) |] };
+        incr truncated
+      end)
+    (Sys.readdir dir);
+  !truncated
+
+let test_aot_short_guest_span () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let _, code = boot_user ~aot_dir:dir (first_block_user ~nr:1) in
+      Alcotest.(check int) "original image exits 0" 0 code;
+      Alcotest.(check bool) "entry block stored and truncated" true (truncate_entry_block dir > 0);
+      let rewritten = first_block_user ~nr:0 in
+      let e_cold, code_cold = boot_user rewritten in
+      let e_warm, code_warm = boot_user ~aot_dir:dir rewritten in
+      Alcotest.(check int) "rewritten image exits 65" 65 code_cold;
+      Alcotest.(check bool) "short entry rejected" true (e_warm.CE.stats.CE.aot_rejects > 0);
+      Alcotest.(check int) "warm exit = cold exit" code_cold code_warm;
+      Alcotest.(check string) "warm uart = cold uart" (CE.uart_output e_cold)
+        (CE.uart_output e_warm))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "reloc",
@@ -382,5 +444,7 @@ let suite =
       Alcotest.test_case "aotcache roundtrip" `Quick test_aotcache_roundtrip;
       Alcotest.test_case "aotcache corruption" `Quick test_aotcache_corruption;
       Alcotest.test_case "aotcache store/reload" `Quick test_aotcache_store_reload;
-      Alcotest.test_case "warm boot determinism" `Slow test_aot_warm_boot
+      Alcotest.test_case "warm boot determinism" `Slow test_aot_warm_boot;
+      Alcotest.test_case "AOT block probe rejects a short guest span" `Quick
+        test_aot_short_guest_span
     ] )
