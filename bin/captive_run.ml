@@ -733,6 +733,7 @@ type bench_row = {
   br_exec : int; (* guest-execution cycles, tiered (cycles - jit) *)
   br_jit : int; (* total JIT cycles, tiered (sync + async) *)
   br_async_jit : int; (* JIT cycles charged from worker-domain installs *)
+  br_resident_kb : int; (* guest RAM the tiered run touched (ungated) *)
   br_stats : Captive.Engine.phase_stats;
 }
 
@@ -775,6 +776,7 @@ let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
     br_exec = Captive.Engine.exec_cycles e_t;
     br_jit = Captive.Engine.jit_cycles e_t;
     br_async_jit = Captive.Engine.async_jit_cycles e_t;
+    br_resident_kb = 4 * Hvm.Mem.resident_frames e_t.Captive.Engine.machine.Hvm.Machine.mem;
     br_stats = e_t.Captive.Engine.stats;
   }
 
@@ -796,7 +798,7 @@ let bench_row_json r =
   let ms t = 1000. *. t in
   let cpgi = bench_cpgi s in
   Printf.sprintf
-    "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"mem_loads_elided\":%d,\"stores_forwarded\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_divs_reduced\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f}"
+    "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"mem_loads_elided\":%d,\"stores_forwarded\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_divs_reduced\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f,\"resident_kb\":%d}"
     (Dbt_util.Stats.json_string r.br_name)
     r.br_exit_ok r.br_tiered r.br_exec r.br_jit r.br_async_jit r.br_untiered r.br_qemu
     r.br_speedup r.br_gain_pct r.br_hinstrs
@@ -818,6 +820,7 @@ let bench_row_json r =
     (ms s.Captive.Engine.t_regalloc)
     (ms s.Captive.Engine.t_encode) (ms s.Captive.Engine.t_validate)
     (ms s.Captive.Engine.t_analyze)
+    r.br_resident_kb
 
 (* Parse a committed baseline: one flat JSON object per line, keyed by
    "name".  "captive_cycles", "speedup" and "translate_cpgi" (when

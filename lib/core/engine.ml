@@ -158,7 +158,7 @@ let trace e fmt =
 
 let as_tag_value = function 0 -> 0L | _ -> 0x1FFFFL (* va >> 47 for each half *)
 
-let make_machine config =
+let make_machine () =
   let intc = Hvm.Device.Intc.create () in
   let uart = Hvm.Device.Uart.create () in
   let timer = Hvm.Device.Timer.create intc in
@@ -171,11 +171,11 @@ let make_machine config =
       Hvm.Device.Syscon.device syscon;
     ]
   in
-  let machine = Machine.create ~mem_size:config.mem_size ~devices ~intc () in
+  let machine = Machine.create ~devices ~intc () in
   (machine, uart, timer, syscon)
 
 let rec create ?(config = default_config) (guest : Ops.ops) : t =
-  let machine, uart, timer, syscon = make_machine config in
+  let machine, uart, timer, syscon = make_machine () in
   machine.Machine.paging <- true;
   let roots = [| Hvm.Palloc.alloc machine.Machine.palloc; Hvm.Palloc.alloc machine.Machine.palloc |] in
   machine.Machine.cr3 <- roots.(0);

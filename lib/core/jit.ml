@@ -26,7 +26,6 @@ module Decls = struct
     chaining : bool;
     pcid : bool; (* use PCIDs when switching address-space roots *)
     split_va_check : bool; (* 64-bit guest address-space split handling *)
-    mem_size : int;
     max_block : int; (* maximum guest instructions per translation block *)
     sanitize : bool; (* shadow-oracle MMU invariant checking (Hvm.Sanitize) *)
     sanitize_every : int; (* extra periodic checkpoint every N translated blocks *)
@@ -82,7 +81,6 @@ module Decls = struct
       chaining = true;
       pcid = true;
       split_va_check = true;
-      mem_size = 256 * 1024 * 1024;
       max_block = 64;
       sanitize = false;
       sanitize_every = 32;

@@ -15,7 +15,6 @@ module Decls : sig
     chaining : bool;
     pcid : bool; (* use PCIDs when switching address-space roots *)
     split_va_check : bool; (* 64-bit guest address-space split handling *)
-    mem_size : int;
     max_block : int; (* maximum guest instructions per translation block *)
     sanitize : bool; (* shadow-oracle MMU invariant checking (Hvm.Sanitize) *)
     sanitize_every : int; (* extra periodic checkpoint every N translated blocks *)

@@ -21,7 +21,7 @@ type t = {
 
 exception Insn_aborted
 
-let create ?(mem_size = 256 * 1024 * 1024) (guest : Ops.ops) : t =
+let create (guest : Ops.ops) : t =
   let intc = Hvm.Device.Intc.create () in
   let uart = Hvm.Device.Uart.create () in
   let timer = Hvm.Device.Timer.create intc in
@@ -34,7 +34,7 @@ let create ?(mem_size = 256 * 1024 * 1024) (guest : Ops.ops) : t =
       Hvm.Device.Syscon.device syscon;
     ]
   in
-  let machine = Machine.create ~mem_size ~devices ~intc () in
+  let machine = Machine.create ~devices ~intc () in
   let ctx =
     Exec.create ~machine ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Exec.Retry)
   in

@@ -17,7 +17,7 @@ type t = {
 
 exception Insn_aborted
 
-val create : ?mem_size:int -> Guest.Ops.ops -> t
+val create : Guest.Ops.ops -> t
 val sys : t -> Guest.Ops.sys_ctx
 val load_image : t -> addr:int64 -> Bytes.t -> unit
 val set_entry : t -> int64 -> unit

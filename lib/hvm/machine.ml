@@ -74,7 +74,11 @@ let sync_devices t =
     t.devs_ticked_at <- now
   end
 
-let create ?(mem_size = 256 * 1024 * 1024) ?(devices = []) ?(intc = Device.Intc.create ()) () =
+(* Physical memory of every engine's machine: the paper's 256 MiB guest
+   RAM plus hypervisor structures.  Smaller machines are for tests. *)
+let default_mem_size = 256 * 1024 * 1024
+
+let create ?(mem_size = default_mem_size) ?(devices = []) ?(intc = Device.Intc.create ()) () =
   let mem = Mem.create mem_size in
   (* The top of physical memory (32 MiB, or a quarter for small machines)
      is reserved for hypervisor structures (page tables). *)

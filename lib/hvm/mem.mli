@@ -2,16 +2,23 @@
     addressable.  Out-of-range accesses raise {!Bus_error}, surfaced by
     the machine like a hardware machine-check.  The payload carries the
     access width (in bits) and direction so memory diagnostics are
-    actionable; a [Printexc] printer renders it readably. *)
+    actionable; a [Printexc] printer renders it readably.
+
+    Storage is demand-paged in 4 KiB frames: unwritten memory shares one
+    zero frame, so a large machine costs only what its guest touches.
+    Only the vCPU domain may access a [t]. *)
 
 exception Bus_error of { addr : int64; bits : int; write : bool }
 
-type t = {
-  bytes : Bytes.t;
-  size : int;
-}
+type t
 
+(** [create size]: [size] bytes, all zero; any size, not only a multiple
+    of the frame size. *)
 val create : int -> t
+
+(** Frames currently backed by their own storage (not the shared zero
+    frame).  O(1). *)
+val resident_frames : t -> int
 
 val read8 : t -> int64 -> int64
 val write8 : t -> int64 -> int64 -> unit
@@ -30,4 +37,6 @@ val write : t -> bits:int -> int64 -> int64 -> unit
 (** Bulk load (kernel and user images). *)
 val blit_in : t -> addr:int64 -> Bytes.t -> unit
 
+(** Zero [len] bytes at [addr]; a frame covered whole goes back to the
+    shared zero frame and stops counting as resident. *)
 val zero_range : t -> addr:int64 -> len:int -> unit

@@ -19,12 +19,11 @@ module Common = Captive.Common
 module Bits = Dbt_util.Bits
 
 type config = {
-  mem_size : int;
   chaining : bool;
   max_block : int;
 }
 
-let default_config = { mem_size = 256 * 1024 * 1024; chaining = true; max_block = 64 }
+let default_config = { chaining = true; max_block = 64 }
 
 let tlb_entries = 256
 let tlb_bytes = tlb_entries * 32
@@ -147,11 +146,11 @@ let create ?(config = default_config) (guest : Ops.ops) : t =
       Hvm.Device.Syscon.device syscon;
     ]
   in
-  let machine = Machine.create ~mem_size:config.mem_size ~devices ~intc () in
+  let machine = Machine.create ~devices ~intc () in
   machine.Machine.paging <- false;
   (* QEMU runtime structures live above guest RAM, below the (unused)
      page-table area. *)
-  let softtlb_base = Int64.of_int (config.mem_size - (48 * 1024 * 1024)) in
+  let softtlb_base = Int64.of_int (Machine.default_mem_size - (48 * 1024 * 1024)) in
   let engine_ref = ref None in
   let engine () = Option.get !engine_ref in
   let sys ctx = Common.sys_ctx guest ctx in

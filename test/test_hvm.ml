@@ -5,28 +5,197 @@ module Pt = Hvm.Pagetable
 module Tlb = Hvm.Tlb
 module Machine = Hvm.Machine
 
+(* Memory sizes for the [Mem] tests: one frame, a partial second frame,
+   and three whole frames plus a partial fourth. *)
+let mem_sizes = [ 4096; 6000; (3 * 4096) + 8 ]
+
 let test_mem_widths () =
-  let m = Mem.create 4096 in
-  Mem.write64 m 0L 0x1122334455667788L;
-  Alcotest.(check int64) "read64" 0x1122334455667788L (Mem.read64 m 0L);
-  Alcotest.(check int64) "read32 low" 0x55667788L (Mem.read32 m 0L);
-  Alcotest.(check int64) "read32 high" 0x11223344L (Mem.read32 m 4L);
-  Alcotest.(check int64) "read16" 0x7788L (Mem.read16 m 0L);
-  Alcotest.(check int64) "read8" 0x88L (Mem.read8 m 0L);
-  Mem.write8 m 1L 0xFFL;
-  Alcotest.(check int64) "byte patch" 0x112233445566FF88L (Mem.read64 m 0L);
-  Alcotest.check_raises "oob read" (Mem.Bus_error { addr = 4096L; bits = 8; write = false })
-    (fun () -> ignore (Mem.read8 m 4096L));
-  Alcotest.check_raises "oob write carries width and direction"
-    (Mem.Bus_error { addr = 4092L; bits = 64; write = true })
-    (fun () -> Mem.write64 m 4092L 0L);
+  List.iter
+    (fun size ->
+      let m = Mem.create size in
+      let sz = Int64.of_int size in
+      (* the start of memory, its last 8 bytes, and a frame boundary *)
+      let bases = 0 :: (size - 8) :: (if size > 4096 then [ 4092 ] else []) in
+      List.iter
+        (fun base ->
+          let at k = Int64.of_int (base + k) in
+          let what s = Printf.sprintf "%s (size %d, at %d)" s size base in
+          Mem.write64 m (at 0) 0x1122334455667788L;
+          Alcotest.(check int64) (what "read64") 0x1122334455667788L (Mem.read64 m (at 0));
+          Alcotest.(check int64) (what "read32 low") 0x55667788L (Mem.read32 m (at 0));
+          Alcotest.(check int64) (what "read32 high") 0x11223344L (Mem.read32 m (at 4));
+          Alcotest.(check int64) (what "read16") 0x7788L (Mem.read16 m (at 0));
+          Alcotest.(check int64) (what "read16 mid") 0x4455L (Mem.read16 m (at 3));
+          Alcotest.(check int64) (what "read8") 0x88L (Mem.read8 m (at 0));
+          Mem.write8 m (at 1) 0xFFL;
+          Alcotest.(check int64) (what "byte patch") 0x112233445566FF88L (Mem.read64 m (at 0));
+          Mem.write32 m (at 2) 0xA0B0C0D0L;
+          Mem.write16 m (at 6) 0xE0F0L;
+          Alcotest.(check int64) (what "word patch") 0xE0F0A0B0C0D0FF88L (Mem.read64 m (at 0)))
+        bases;
+      Alcotest.check_raises "oob read" (Mem.Bus_error { addr = sz; bits = 8; write = false })
+        (fun () -> ignore (Mem.read8 m sz));
+      Alcotest.check_raises "oob write carries width and direction"
+        (Mem.Bus_error { addr = Int64.sub sz 4L; bits = 64; write = true })
+        (fun () -> Mem.write64 m (Int64.sub sz 4L) 0L))
+    mem_sizes;
   Alcotest.(check bool) "bus error printer" true
     (try
-       ignore (Mem.read32 m 8000L);
+       ignore (Mem.read32 (Mem.create 4096) 8000L);
        false
      with e ->
        let s = Printexc.to_string e in
        s = "Mem.Bus_error(read of 32 bits at 0x1f40)")
+
+(* A flat-[Bytes] reference model of [Mem]: the semantics every
+   storage layout must keep, [Bus_error] payloads included. *)
+module Flat = struct
+  let check m addr len ~write =
+    let size = Bytes.length m in
+    let a = Int64.to_int addr in
+    if addr < 0L || Int64.compare addr (Int64.of_int size) >= 0 || a + len > size then
+      raise (Mem.Bus_error { addr; bits = 8 * len; write });
+    a
+
+  let read m ~bits addr =
+    let a = check m addr (bits / 8) ~write:false in
+    match bits with
+    | 8 -> Int64.of_int (Bytes.get_uint8 m a)
+    | 16 -> Int64.of_int (Bytes.get_uint16_le m a)
+    | 32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le m a)) 0xFFFFFFFFL
+    | _ -> Bytes.get_int64_le m a
+
+  let write m ~bits addr v =
+    let a = check m addr (bits / 8) ~write:true in
+    match bits with
+    | 8 -> Bytes.set_uint8 m a (Int64.to_int v land 0xFF)
+    | 16 -> Bytes.set_uint16_le m a (Int64.to_int v land 0xFFFF)
+    | 32 -> Bytes.set_int32_le m a (Int64.to_int32 v)
+    | _ -> Bytes.set_int64_le m a v
+
+  let blit_in m ~addr src =
+    let a = check m addr (Bytes.length src) ~write:true in
+    Bytes.blit src 0 m a (Bytes.length src)
+
+  let zero_range m ~addr ~len =
+    let a = check m addr len ~write:true in
+    Bytes.fill m a len '\000'
+end
+
+(* Random reads, writes, blits and zeroings against [Flat], biased to
+   addresses that straddle frame boundaries or sit at the end of memory;
+   every result and every [Bus_error] payload must agree, and so must
+   the final contents. *)
+let test_mem_differential () =
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Mem.Bus_error { addr; bits; write } -> Error (addr, bits, write)
+  in
+  let agree what f g =
+    if outcome f <> outcome g then Alcotest.failf "Mem and Flat disagree on %s" what
+  in
+  List.iter
+    (fun size ->
+      let rng = Random.State.make [| size |] in
+      let m = Mem.create size and r = Bytes.make size '\000' in
+      let frames = (size + 4095) / 4096 in
+      let addr () =
+        match Random.State.int rng 4 with
+        | 0 -> (4096 * Random.State.int rng (frames + 1)) + Random.State.int rng 20 - 10
+        | 1 -> size + Random.State.int rng 20 - 16
+        | 2 -> Random.State.int rng size
+        | _ -> if Random.State.bool rng then -1 - Random.State.int rng 8 else max_int
+      in
+      for step = 1 to 4000 do
+        let a = Int64.of_int (addr ()) in
+        let bits = 8 lsl Random.State.int rng 4 in
+        let what op = Printf.sprintf "%s (size %d, step %d, addr %Ld, bits %d)" op size step a bits in
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+          agree (what "read") (fun () -> Mem.read m ~bits a) (fun () -> Flat.read r ~bits a)
+        | 4 | 5 | 6 ->
+          let v = Random.State.bits64 rng in
+          agree (what "write") (fun () -> Mem.write m ~bits a v) (fun () -> Flat.write r ~bits a v)
+        | 7 ->
+          let src = Bytes.init (Random.State.int rng 9000) (fun _ -> Char.chr (Random.State.int rng 256)) in
+          agree (what "blit_in") (fun () -> Mem.blit_in m ~addr:a src) (fun () -> Flat.blit_in r ~addr:a src)
+        | _ ->
+          (* whole frames, a partial head or tail frame, or both *)
+          let a, len =
+            match Random.State.int rng 3 with
+            | 0 -> (Int64.of_int (4096 * Random.State.int rng frames), 4096 * (1 + Random.State.int rng 2))
+            | 1 -> (a, Random.State.int rng 5000)
+            | _ -> (a, 0)
+          in
+          agree (what "zero_range")
+            (fun () -> Mem.zero_range m ~addr:a ~len)
+            (fun () -> Flat.zero_range r ~addr:a ~len)
+      done;
+      for a = 0 to size - 1 do
+        if Mem.read8 m (Int64.of_int a) <> Int64.of_int (Bytes.get_uint8 r a) then
+          Alcotest.failf "size %d: final contents differ at %d" size a
+      done;
+      Alcotest.(check bool) "resident frames within the directory" true
+        (Mem.resident_frames m >= 0 && Mem.resident_frames m <= frames);
+      Mem.zero_range m ~addr:0L ~len:size;
+      (* a partial last frame is filled, not released *)
+      Alcotest.(check bool) (Printf.sprintf "size %d: zeroed memory releases whole frames" size) true
+        (Mem.resident_frames m <= if size mod 4096 = 0 then 0 else 1))
+    mem_sizes
+
+(* Unwritten frames of every instance share one zero frame, so a store
+   that reached it would show up in every other instance. *)
+let test_mem_instances_isolated () =
+  List.iter
+    (fun size ->
+      let a = Mem.create size and b = Mem.create size in
+      let addrs = [ 0L; 4092L; Int64.of_int (size - 8) ] in
+      List.iter (fun addr -> if Int64.to_int addr + 8 <= size then Mem.write64 a addr (-1L)) addrs;
+      Mem.blit_in a ~addr:(Int64.of_int (size / 2)) (Bytes.make 16 '\xff');
+      Mem.zero_range a ~addr:0L ~len:(min size 4096);
+      Mem.write8 a 1L 0xAAL;
+      let fresh = Mem.create size in
+      for i = 0 to size - 1 do
+        let i = Int64.of_int i in
+        if Mem.read8 b i <> 0L || Mem.read8 fresh i <> 0L then
+          Alcotest.failf "size %d: a write to one instance shows in another at %Ld" size i
+      done;
+      Alcotest.(check int) "untouched instance holds no frames" 0 (Mem.resident_frames b))
+    mem_sizes
+
+(* Demand paging on a default-sized engine: a whole SPEC proxy boot
+   touches a small share of its 256 MiB, and page-table frames that
+   [Palloc] recycles do not accumulate. *)
+let test_mem_resident_after_boot () =
+  let e = Captive.Engine.create (Guest_arm.Arm.ops ()) in
+  let user = (Workloads.Spec.find "429.mcf").Workloads.Spec.build ~scale:1 in
+  Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
+  (match Captive.Engine.run ~max_cycles:2_000_000_000 e with
+  | Captive.Engine.Poweroff c -> Alcotest.(check bool) "mcf exits cleanly" true (c >= 0)
+  | _ -> Alcotest.fail "mcf did not power off");
+  let m = e.Captive.Engine.machine in
+  let mem = m.Machine.mem and p = m.Machine.palloc in
+  let frames = Machine.default_mem_size / 4096 in
+  let resident = Mem.resident_frames mem in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d frames resident (< 2%%)" resident frames)
+    true
+    (resident * 50 < frames);
+  for _ = 1 to 100 do
+    let f = Hvm.Palloc.alloc p in
+    Mem.write64 mem f 1L;
+    let held = Mem.resident_frames mem in
+    Hvm.Palloc.release p f;
+    (* the free list hands [f] back, zeroed whole: no longer resident *)
+    let g = Hvm.Palloc.alloc p in
+    Alcotest.(check int64) "free list reuses the frame" f g;
+    Alcotest.(check int) "a reused frame starts on the zero frame" (held - 1)
+      (Mem.resident_frames mem);
+    Hvm.Palloc.release p g
+  done;
+  Alcotest.(check bool) "release->alloc cycles do not grow the count" true
+    (Mem.resident_frames mem <= resident)
 
 let mk_machine () = Machine.create ~mem_size:(16 * 1024 * 1024) ()
 
@@ -196,6 +365,10 @@ let suite =
   ( "hvm",
     [
       Alcotest.test_case "memory widths" `Quick test_mem_widths;
+      Alcotest.test_case "memory matches a flat reference" `Quick test_mem_differential;
+      Alcotest.test_case "memory instances never share written state" `Quick
+        test_mem_instances_isolated;
+      Alcotest.test_case "resident frames after an mcf boot" `Quick test_mem_resident_after_boot;
       Alcotest.test_case "pagetable map/walk" `Quick test_pagetable_map_walk;
       Alcotest.test_case "protect and clear-low-half" `Quick test_pagetable_protect_and_clear;
       Alcotest.test_case "tlb pcid tagging" `Quick test_tlb_pcid;
