@@ -798,7 +798,7 @@ let bench_row_json r =
   let ms t = 1000. *. t in
   let cpgi = bench_cpgi s in
   Printf.sprintf
-    "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"mem_loads_elided\":%d,\"stores_forwarded\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_divs_reduced\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f,\"resident_kb\":%d}"
+    "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f,\"resident_kb\":%d}"
     (Dbt_util.Stats.json_string r.br_name)
     r.br_exit_ok r.br_tiered r.br_exec r.br_jit r.br_async_jit r.br_untiered r.br_qemu
     r.br_speedup r.br_gain_pct r.br_hinstrs
@@ -806,10 +806,9 @@ let bench_row_json r =
     s.Captive.Engine.region_blocks s.Captive.Engine.region_entries
     s.Captive.Engine.region_block_execs s.Captive.Engine.region_dead_stores r.br_rf_loads
     r.br_rf_stores s.Captive.Engine.rf_promoted s.Captive.Engine.region_wb_entries
-    s.Captive.Engine.mem_loads_elided s.Captive.Engine.stores_forwarded
     s.Captive.Engine.absint_branches_folded s.Captive.Engine.absint_consts_folded
-    s.Captive.Engine.absint_masks_dropped s.Captive.Engine.absint_divs_reduced
-    s.Captive.Engine.absint_dead_deleted s.Captive.Engine.translate_cycles
+    s.Captive.Engine.absint_masks_dropped s.Captive.Engine.absint_dead_deleted
+    s.Captive.Engine.translate_cycles
     s.Captive.Engine.translate_cycles_template s.Captive.Engine.translate_cycles_pipeline cpgi
     s.Captive.Engine.template_blocks s.Captive.Engine.template_instrs
     s.Captive.Engine.template_misses s.Captive.Engine.template_fallback_blocks
@@ -1205,7 +1204,6 @@ let analyze_cmd =
         Counters.bump summary "absint branches folded" ~by:s.Captive.Engine.absint_branches_folded;
         Counters.bump summary "absint consts folded" ~by:s.Captive.Engine.absint_consts_folded;
         Counters.bump summary "absint masks dropped" ~by:s.Captive.Engine.absint_masks_dropped;
-        Counters.bump summary "absint divs reduced" ~by:s.Captive.Engine.absint_divs_reduced;
         Counters.bump summary "absint dead deleted" ~by:s.Captive.Engine.absint_dead_deleted;
         let ms = 1000. *. s.Captive.Engine.t_analyze in
         let per = ms /. float_of_int (max 1 (nb + nr)) in
@@ -1214,10 +1212,10 @@ let analyze_cmd =
           sr_log = e.Captive.Engine.analysis_log;
           sr_json =
             Printf.sprintf
-              "\"blocks_analyzed\":%d,\"regions_analyzed\":%d,\"findings\":%d,\"branches_folded\":%d,\"consts_folded\":%d,\"masks_dropped\":%d,\"divs_reduced\":%d,\"dead_deleted\":%d,\"analyze_ms\":%.1f,\"ms_per_program\":%.3f"
+              "\"blocks_analyzed\":%d,\"regions_analyzed\":%d,\"findings\":%d,\"branches_folded\":%d,\"consts_folded\":%d,\"masks_dropped\":%d,\"dead_deleted\":%d,\"analyze_ms\":%.1f,\"ms_per_program\":%.3f"
               nb nr nf s.Captive.Engine.absint_branches_folded
               s.Captive.Engine.absint_consts_folded s.Captive.Engine.absint_masks_dropped
-              s.Captive.Engine.absint_divs_reduced s.Captive.Engine.absint_dead_deleted ms per;
+              s.Captive.Engine.absint_dead_deleted ms per;
           sr_human =
             Printf.sprintf
               "%5d blocks + %3d regions analyzed, %d finding(s), %6.1fms (%.3fms/program)" nb nr

@@ -9,150 +9,7 @@
     cannot touch engine state. *)
 
 (** The configuration and stats records, re-exported by [Engine]. *)
-module Decls : sig
-  type config = {
-    hw_fp : bool; (* hardware FP (Captive) vs softfloat helpers (Sec. 3.6.2) *)
-    chaining : bool;
-    pcid : bool; (* use PCIDs when switching address-space roots *)
-    split_va_check : bool; (* 64-bit guest address-space split handling *)
-    max_block : int; (* maximum guest instructions per translation block *)
-    sanitize : bool; (* shadow-oracle MMU invariant checking (Hvm.Sanitize) *)
-    sanitize_every : int; (* extra periodic checkpoint every N translated blocks *)
-    tiering : bool; (* tiered translation: profile tier-0 blocks, form hot regions *)
-    templates : bool; (* tier minus one: template-stitched cold translation
-                         (Hostir.Template); active only with [tiering], since
-                         promotion is what buys back code quality *)
-    hot_threshold : int; (* executions of a tier-0 block before promotion *)
-    region_max_blocks : int; (* maximum members in one region (all on one page) *)
-    promote : bool; (* region-scoped register promotion + memory redundancy elim *)
-    promote_max_regs : int; (* register-file offsets cached per region *)
-    (* symbolic translation validation (Hostir.Equiv): every accepted
-       translation is re-derived as an unoptimized reference emission and
-       checked for exit-point equivalence; any finding is a miscompile *)
-    validate_translations : bool;
-    validate_every : int; (* validate every Nth tier-0 block (regions: always) *)
-    (* static obligation checking (Hostir.Absint): every translation the
-       engine produces is analyzed at translate time — register-file
-       offsets in-bounds and aligned, spill slots inside the frame,
-       promoted-register discipline and writeback coverage *)
-    analyze_translations : bool;
-    (* the O4 absint-simplify region pass: fold branches with known
-       conditions, delete cross-block dead definitions, drop redundant
-       masks, strength-reduce division — on facts that only materialize
-       after region flattening and promotion *)
-    absint_simplify : bool;
-    (* relocation-cleanliness certification (Hostir.Reloc): every encoded
-       translation is analyzed at translate time — operands and control
-       transfers classified relocatable or pinned, encoding determinism
-       audited; any finding means the translation can't be persisted *)
-    reloc_check : bool;
-    (* persistent AOT translation cache directory: certified translations
-       are stored here and reinstalled (guest bytes verified, certificate
-       re-checked, chain/exit sites re-bound) instead of re-translated.
-       Implies certification of every translation. *)
-    aot_dir : string option;
-    (* concurrent JIT (OCaml 5 domains): total domains the engine may use.
-       1 = fully synchronous, bit-identical to the historical engine;
-       N > 1 spawns N-1 JIT worker domains that execute region-formation
-       jobs while the vCPU keeps running tier-0 code.  Not part of the
-       AOT config signature: the generated code is identical either way. *)
-    domains : int;
-    (* deterministic schedule jitter for the stress harness: seeds a PRNG
-       that perturbs when completed translation jobs are drained and
-       installed, widening the publish/invalidate race window without
-       giving up reproducibility. *)
-    stress_seed : int64 option;
-  }
-
-  val default_config : config
-
-  type phase_stats = {
-    mutable t_decode : float;
-    mutable t_translate : float;
-    mutable t_regalloc : float;
-    mutable t_encode : float;
-    (* per-tier wall-time split of translation work: template stitching
-       (tier -1), cold block pipeline (tier 0), region formation (tier 1);
-       t_template covers mining + patching + stitching, the others cover
-       the whole pipeline pass for their tier *)
-    mutable t_template : float;
-    mutable t_tier0 : float;
-    mutable t_region : float;
-    mutable blocks_translated : int;
-    mutable guest_instrs_translated : int;
-    mutable host_instrs_emitted : int;
-    mutable host_bytes_emitted : int;
-    mutable dead_marked : int;
-    mutable spills : int;
-    mutable blocks_executed : int;
-    mutable chain_hits : int;
-    mutable smc_invalidations : int;
-    (* tiered translation *)
-    mutable promotions : int; (* tier-0 blocks that crossed the hotness threshold *)
-    mutable regions_formed : int; (* multi-block region translations built *)
-    mutable region_blocks : int; (* total member blocks across formed regions *)
-    mutable region_host_instrs : int; (* host instrs emitted for region units *)
-    mutable region_entries : int; (* dispatches that entered a region unit *)
-    mutable region_block_execs : int; (* member blocks executed inside regions *)
-    mutable region_dead_stores : int; (* cross-block dead register-file stores removed *)
-    (* register promotion / memory redundancy elimination (Promote) *)
-    mutable rf_promoted : int; (* register-file offsets promoted across regions *)
-    mutable region_wb_entries : int; (* writeback-map entries across regions *)
-    mutable mem_loads_elided : int; (* Mem_lds satisfied by a previous load *)
-    mutable stores_forwarded : int; (* Mem_lds satisfied by a previous store *)
-    (* symbolic translation validation (Hostir.Equiv) *)
-    mutable t_validate : float;
-    mutable blocks_validated : int; (* tier-0 blocks checked against the oracle *)
-    mutable regions_validated : int; (* tier-1 regions checked against the oracle *)
-    mutable validation_findings : int; (* equivalence divergences (miscompiles) *)
-    mutable validations_bounded : int; (* checks that hit a path/step bound *)
-    (* static obligation checking + absint-simplify (Hostir.Absint) *)
-    mutable t_analyze : float;
-    mutable blocks_analyzed : int; (* tier-0 blocks obligation-checked *)
-    mutable regions_analyzed : int; (* tier-1 regions obligation-checked *)
-    mutable obligation_findings : int; (* static obligation violations *)
-    mutable absint_branches_folded : int; (* Br with decided condition -> Jmp *)
-    mutable absint_consts_folded : int; (* pure results proved constant *)
-    mutable absint_masks_dropped : int; (* redundant masks/extensions elided *)
-    mutable absint_divs_reduced : int; (* unsigned div/rem by 2^k reduced *)
-    mutable absint_dead_deleted : int; (* cross-block dead definitions removed *)
-    (* relocation-cleanliness certification (Hostir.Reloc) *)
-    mutable t_reloc : float;
-    mutable translate_cycles : int; (* simulated cycles charged to translation/AOT *)
-    (* per-tier ledger split of [translate_cycles]: template installs
-       (stitch + patch + kind-2 AOT loads) vs the full pipeline (cold
-       blocks, regions, kind-0/1 AOT loads); the two always sum to
-       [translate_cycles] *)
-    mutable translate_cycles_template : int;
-    mutable translate_cycles_pipeline : int;
-    (* template tier (Hostir.Template) *)
-    mutable template_blocks : int; (* blocks installed by template stitching *)
-    mutable template_instrs : int; (* guest instructions those blocks cover *)
-    mutable template_misses : int; (* instructions with no usable template *)
-    mutable template_fallback_blocks : int; (* blocks that fell back to the cold pipeline *)
-    mutable templates_mined : int; (* template variants mined this run *)
-    mutable blocks_certified : int; (* tier-0 blocks certified relocation-clean *)
-    mutable regions_certified : int; (* region units certified relocation-clean *)
-    mutable reloc_findings : int; (* relocation-cleanliness violations *)
-    (* persistent AOT translation cache (Aotcache) *)
-    mutable aot_hits : int; (* translations installed from the cache *)
-    mutable aot_misses : int; (* sites with no reusable entry *)
-    mutable aot_stores : int; (* certified translations persisted *)
-    mutable aot_rejects : int; (* disk entries refused (corrupt or flagged) *)
-    (* concurrent JIT job accounting (domains > 1 only; all 0 when synchronous) *)
-    mutable jobs_enqueued : int; (* region jobs handed to the worker pool *)
-    mutable jobs_completed : int; (* worker results drained by the vCPU *)
-    mutable jobs_installed : int; (* results published into the sharded cache *)
-    mutable jobs_stale : int; (* results rejected at install: page generation or guest hash changed (SMC) *)
-    mutable jobs_cancelled : int; (* queued jobs dropped by invalidate_page before a worker took them *)
-    mutable jobs_dropped : int; (* enqueues refused because the bounded queue was full *)
-  }
-
-  val new_phase_stats : unit -> phase_stats
-
-  val add_stats : phase_stats -> phase_stats -> unit
-  (** [add_stats dst d] adds every field of the delta [d] into [dst]. *)
-end
+module Decls = Jit_decls
 
 include module type of struct
   include Decls

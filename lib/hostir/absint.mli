@@ -1,10 +1,9 @@
 (** Forward abstract interpretation over label-form HostIR streams.
 
-    A dataflow framework over the {!Region} CFG with a product value
-    domain — known-bits crossed with an unsigned interval, mutually
-    refined — mapping every storage location the executor models
-    (vregs, host GPRs, spill slots, register-file qwords, the PC
-    register) to an abstract value.  Every transfer function
+    A dataflow framework over the {!Region} CFG that maps every storage
+    location the executor models (vregs, host GPRs, spill slots,
+    register-file qwords, the PC register) to a value of the shared
+    known-bits × unsigned-interval domain ({!Dbt_util.Absval}).  Every transfer function
     over-approximates the concrete executor ({!Exec}) exactly; helper
     calls are interpreted through the shared {!Effects} classification.
 
@@ -15,45 +14,16 @@
     delegates its promoted-register discipline fixpoint to
     {!check_wb}). *)
 
-(** {1 Value domain} *)
-
-type av = { zeros : int64; ones : int64; lo : int64; hi : int64 }
-
-type value = Bot | V of av
-(** Invariants of [V]: [zeros land ones = 0] and
-    [ones <=u lo <=u hi <=u lognot zeros]. *)
-
-val make : int64 -> int64 -> int64 -> int64 -> value
-(** [make zeros ones lo hi], refining the two halves to a fixed point. *)
-
-val bot : value
-val top : value
-val const : int64 -> value
-val range : int64 -> int64 -> value
-val of_width : int -> value
-val is_bot : value -> bool
-val is_top : value -> bool
-val is_const : value -> int64 option
-val contains : value -> int64 -> bool
-val join : value -> value -> value
-val meet : value -> value -> value
-val widen : value -> value -> value
-val leq : value -> value -> bool
-val value_to_string : value -> string
-
-val decide_cond : Hir.cond -> value -> value -> bool option
-(** Decide a comparison from the facts; [None] = unknown. *)
-
 (** {1 Abstract state and transfer} *)
 
 module Imap : Map.S with type key = int
 
 type state = {
-  s_vregs : value Imap.t;
-  s_pregs : value Imap.t;
-  s_slots : value Imap.t;
-  s_rf : value Imap.t;  (** register-file qwords, by byte offset *)
-  s_pc : value;
+  s_vregs : Dbt_util.Absval.t Imap.t;
+  s_pregs : Dbt_util.Absval.t Imap.t;
+  s_slots : Dbt_util.Absval.t Imap.t;
+  s_rf : Dbt_util.Absval.t Imap.t;  (** register-file qwords, by byte offset *)
+  s_pc : Dbt_util.Absval.t;
 }
 (** Absent entries are implicitly [top]. *)
 
@@ -61,11 +31,11 @@ val state_top : state
 val state_join : state -> state -> state
 val state_widen : state -> state -> state
 val state_equal : state -> state -> bool
-val read : state -> Hir.operand -> value
-val write : state -> Hir.operand -> value -> state
-val rf_read : state -> int -> value
+val read : state -> Hir.operand -> Dbt_util.Absval.t
+val write : state -> Hir.operand -> Dbt_util.Absval.t -> state
+val rf_read : state -> int -> Dbt_util.Absval.t
 
-val rf_write : state -> int -> value -> state
+val rf_write : state -> int -> Dbt_util.Absval.t -> state
 (** Strong update of one register-file qword, invalidating any
     overlapping tracked entries. *)
 
@@ -148,7 +118,6 @@ type simplify_stats = {
   mutable branches_folded : int;  (** [Br] with a decided condition -> [Jmp] *)
   mutable consts_folded : int;  (** pure results proved constant -> [Mov Imm] *)
   mutable masks_dropped : int;  (** redundant [And] masks / extensions elided *)
-  mutable divs_reduced : int;  (** unsigned div/rem by [2^k] strength-reduced *)
   mutable dead_deleted : int;  (** cross-block dead vreg definitions removed *)
 }
 
@@ -162,7 +131,6 @@ val simplify :
 (** The O4 absint-simplify region pass, run on the flattened promoted
     stream before register allocation: fold branches with known
     conditions, rewrite fully-known pure results to constants, drop
-    masks and extensions the facts prove redundant, strength-reduce
-    unsigned division by powers of two, delete cross-block dead vreg
-    definitions, and prune unreachable blocks (preserving the
+    masks and extensions the facts prove redundant, delete cross-block
+    dead vreg definitions, and prune unreachable blocks (preserving the
     writeback map). *)

@@ -1,21 +1,16 @@
 (* Forward abstract interpretation over SSA actions (the semantic layer on
-   top of PR 1's syntactic verifiers).
+   top of the syntactic verifiers).
 
-   The domain is a product of *known-bits* (each of the 64 bits is known-0,
-   known-1 or unknown) and an *unsigned interval* [lo, hi].  The two halves
-   refine each other on construction: an interval upper bound forces the
-   high bits to known-zero, and known bits tighten the interval bounds.
+   Values live in the shared known-bits x unsigned-interval domain
+   (Dbt_util.Absval); this module maps SSA opcodes onto its transfers,
+   folds singleton operands through Adl.Eval, and runs the fixpoint.
    Decode-instruction fields are seeded from the optimization context: a
    field of width w starts as [0, 2^w-1] with the high 64-w bits
    known-zero, so the analysis can prove facts that hold for *every*
    decoding of the instruction class, not just one concrete instance.
-
-   Widening: interval upper bounds climb the 2^k-1 ladder at loop heads
-   (at most 64 rungs), lower bounds drop to 0, and the known-bits half
-   needs no widening (its lattice has finite height).  This keeps loop
-   analysis convergent while preserving the width information the range
-   checker needs (e.g. the toy `loopy` action's induction variable widens
-   to exactly [0, 15] for a 4-bit bound).
+   Widening at loop heads keeps the width information the range checker
+   needs (e.g. the toy `loopy` action's induction variable widens to
+   exactly [0, 15] for a 4-bit bound).
 
    Three consumers live below the engine:
    - [simplify]: the O3 `absint-simplify` pass body (fold always/never
@@ -30,7 +25,7 @@
 
 module Ast = Adl.Ast
 module Eval = Adl.Eval
-module Bits = Dbt_util.Bits
+module Av = Dbt_util.Absval
 
 (* --- architecture context -------------------------------------------------- *)
 
@@ -45,294 +40,47 @@ type ctx = {
 let no_ctx =
   { field_widths = []; bank_widths = []; slot_widths = []; bank_counts = []; slot_indices = [] }
 
-(* --- the abstract value ---------------------------------------------------- *)
-
-(* Invariants of [V] (established by [make]):
-   - zeros land ones = 0
-   - ones <=u lo <=u hi <=u lognot zeros (all comparisons unsigned) *)
-type av = { zeros : int64; ones : int64; lo : int64; hi : int64 }
-
-type t = Bot | V of av
-
-let umin a b = if Bits.ule a b then a else b
-let umax a b = if Bits.ule a b then b else a
-
-(* Number of significant bits of an unsigned value. *)
-let sigbits v = 64 - Bits.clz v
-
-let make zeros ones lo hi =
-  if Int64.logand zeros ones <> 0L then Bot
-  else begin
-    (* Mutual refinement of the two halves, to a fixed point: interval
-       bounds clamp to what the bits allow, and the interval's high bound
-       forces leading known-zeros. *)
-    let zeros = ref zeros and lo = ref (umax lo ones) and hi = ref (umin hi (Int64.lognot zeros)) in
-    let continue_ = ref true in
-    while !continue_ do
-      continue_ := false;
-      let z = Int64.lognot (Bits.mask (sigbits !hi)) in
-      if Int64.logand z (Int64.lognot !zeros) <> 0L then begin
-        zeros := Int64.logor !zeros z;
-        continue_ := true
-      end;
-      let hi' = umin !hi (Int64.lognot !zeros) in
-      if hi' <> !hi then begin
-        hi := hi';
-        continue_ := true
-      end
-    done;
-    if Int64.logand !zeros ones <> 0L then Bot
-    else if Bits.ult !hi !lo then Bot
-    else V { zeros = !zeros; ones; lo = !lo; hi = !hi }
-  end
-
-let bot = Bot
-let top = make 0L 0L 0L (-1L)
-let const c = make (Int64.lognot c) c c c
-let range lo hi = make 0L 0L lo hi
-let of_width w = if w >= 64 then top else if w <= 0 then const 0L else range 0L (Bits.mask w)
-let is_bot v = v = Bot
-
-let is_const = function
-  | Bot -> None
-  | V { lo; hi; _ } -> if lo = hi then Some lo else None
-
-let known_zeros = function Bot -> -1L | V { zeros; _ } -> zeros
-let known_ones = function Bot -> 0L | V { ones; _ } -> ones
-
-let contains v c =
-  match v with
-  | Bot -> false
-  | V { zeros; ones; lo; hi } ->
-    Int64.logand c zeros = 0L
-    && Int64.logand c ones = ones
-    && Bits.ule lo c && Bits.ule c hi
-
-let join a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | V a, V b ->
-    make (Int64.logand a.zeros b.zeros) (Int64.logand a.ones b.ones) (umin a.lo b.lo)
-      (umax a.hi b.hi)
-
-let meet a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> Bot
-  | V a, V b ->
-    make (Int64.logor a.zeros b.zeros) (Int64.logor a.ones b.ones) (umax a.lo b.lo)
-      (umin a.hi b.hi)
-
-(* Smallest all-ones value >=u v: the widening ladder. *)
-let next_mask v = if v = 0L then 0L else Bits.mask (sigbits v)
-
-(* [widen old new_] over-approximates [join old new_] and guarantees
-   convergence: the interval's hi climbs the 2^k-1 ladder and lo drops
-   straight to 0, while the known-bits half just intersects (finite
-   height, no widening needed). *)
-let widen a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | V a, V b ->
-    let lo = if Bits.ult b.lo a.lo then 0L else a.lo in
-    let hi = if Bits.ult a.hi b.hi then next_mask b.hi else a.hi in
-    make (Int64.logand a.zeros b.zeros) (Int64.logand a.ones b.ones) lo hi
-
-let leq a b =
-  match (a, b) with
-  | Bot, _ -> true
-  | _, Bot -> false
-  | V a, V b ->
-    Int64.logand b.zeros (Int64.lognot a.zeros) = 0L
-    && Int64.logand b.ones (Int64.lognot a.ones) = 0L
-    && Bits.ule b.lo a.lo && Bits.ule a.hi b.hi
-
-(* Two sound approximations of the same concrete value must share at least
-   one concrete member; disjoint approximations prove a semantic change. *)
-let comparable a b = leq a b || leq b a
-
-let to_string = function
-  | Bot -> "bot"
-  | V { zeros; ones; lo; hi } ->
-    if lo = hi then Printf.sprintf "{%Lu}" lo
-    else
-      Printf.sprintf "[%Lu,%Lu]%s" lo hi
-        (if zeros = Int64.lognot (Bits.mask (sigbits hi)) && ones = 0L then ""
-         else Printf.sprintf " bits(z=%Lx,o=%Lx)" zeros ones)
-
-(* --- transfer functions ---------------------------------------------------- *)
-
-let bool_unknown = make (Int64.lognot 1L) 0L 0L 1L
-let of_bool b = const (if b then 1L else 0L)
-
-(* Decide a comparison from the interval/bits halves; [None] = unknown.
-   All decisions are made in unsigned terms; for signed comparisons we
-   only decide when both operands are provably non-negative (bit 63
-   known-zero), where the orders coincide. *)
-let decide_cmp op ~signed a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> None
-  | V va, V vb ->
-    let nonneg v = Bits.bit v.zeros 63 in
-    if signed && not (nonneg va && nonneg vb) then None
-    else begin
-      let always_lt = Bits.ult va.hi vb.lo in
-      let always_le = Bits.ule va.hi vb.lo in
-      let never_lt = Bits.ule vb.hi va.lo in
-      let never_le = Bits.ult vb.hi va.lo in
-      let disjoint =
-        Bits.ult va.hi vb.lo || Bits.ult vb.hi va.lo
-        || Int64.logand va.ones vb.zeros <> 0L
-        || Int64.logand va.zeros vb.ones <> 0L
-      in
-      match op with
-      | Ast.Eq -> (
-        match (is_const (V va), is_const (V vb)) with
-        | Some x, Some y -> Some (x = y)
-        | _ -> if disjoint then Some false else None)
-      | Ast.Ne -> (
-        match (is_const (V va), is_const (V vb)) with
-        | Some x, Some y -> Some (x <> y)
-        | _ -> if disjoint then Some true else None)
-      | Ast.Lt -> if always_lt then Some true else if never_lt then Some false else None
-      | Ast.Le -> if always_le then Some true else if never_le then Some false else None
-      | Ast.Gt -> if Bits.ult vb.hi va.lo then Some true else if Bits.ule va.hi vb.lo then Some false else None
-      | Ast.Ge -> if Bits.ule vb.hi va.lo then Some true else if Bits.ult va.hi vb.lo then Some false else None
-      | _ -> None
-    end
+(* --- transfer functions: SSA opcodes onto the shared domain --------------- *)
 
 let binary op ~signed a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> Bot
-  | V va, V vb -> (
-    match (is_const a, is_const b, op) with
+  if Av.is_bot a || Av.is_bot b then Av.bot
+  else
+    match (Av.is_const a, Av.is_const b, op) with
     (* Exact evaluation through the shared concrete semantics whenever both
        operands are singletons (Land/Lor never reach the SSA). *)
     | Some x, Some y, (Ast.Land | Ast.Lor) ->
-      of_bool ((x <> 0L && y <> 0L) || (op = Ast.Lor && (x <> 0L || y <> 0L)))
-    | Some x, Some y, _ -> const (Eval.binop op ~signed x y)
+      Av.of_bool ((x <> 0L && y <> 0L) || (op = Ast.Lor && (x <> 0L || y <> 0L)))
+    | Some x, Some y, _ -> Av.const (Eval.binop op ~signed x y)
     | _ -> (
+      let cmp c = Av.cmp_value c ~signed a b in
       match op with
-      | Ast.Add ->
-        let lo = Int64.add va.lo vb.lo and hi = Int64.add va.hi vb.hi in
-        if Bits.ult lo va.lo || Bits.ult hi va.hi then top else range lo hi
-      | Ast.Sub ->
-        if Bits.ule vb.hi va.lo then range (Int64.sub va.lo vb.hi) (Int64.sub va.hi vb.lo)
-        else top
-      | Ast.Mul ->
-        if Bits.ule va.hi 0xFFFFFFFFL && Bits.ule vb.hi 0xFFFFFFFFL then
-          range (Int64.mul va.lo vb.lo) (Int64.mul va.hi vb.hi)
-        else top
-      | Ast.Div ->
-        if signed then top
-        else
-          (* Eval's semantics: division by zero yields 0. *)
-          let lo = if contains b 0L then 0L else Bits.udiv va.lo vb.hi in
-          range lo (Bits.udiv va.hi (umax vb.lo 1L))
-      | Ast.Rem ->
-        if signed then top
-        else if vb.hi = 0L then a (* x rem 0 = x in Eval *)
-        else
-          let hi_r = umin va.hi (Int64.sub vb.hi 1L) in
-          range 0L (if contains b 0L then umax va.hi hi_r else hi_r)
-      | Ast.And ->
-        make (Int64.logor va.zeros vb.zeros) (Int64.logand va.ones vb.ones) 0L
-          (umin va.hi vb.hi)
-      | Ast.Or ->
-        make (Int64.logand va.zeros vb.zeros) (Int64.logor va.ones vb.ones)
-          (umax va.lo vb.lo)
-          (Bits.mask (max (sigbits va.hi) (sigbits vb.hi)))
-      | Ast.Xor ->
-        make
-          (Int64.logor (Int64.logand va.zeros vb.zeros) (Int64.logand va.ones vb.ones))
-          (Int64.logor (Int64.logand va.zeros vb.ones) (Int64.logand va.ones vb.zeros))
-          0L
-          (Bits.mask (max (sigbits va.hi) (sigbits vb.hi)))
-      | Ast.Shl -> (
-        match is_const b with
-        | Some k ->
-          let k = Int64.to_int (Int64.logand k 63L) in
-          let zeros = Int64.logor (Int64.shift_left va.zeros k) (Bits.mask k) in
-          let ones = Int64.shift_left va.ones k in
-          if va.hi = 0L || sigbits va.hi + k <= 64 then
-            make zeros ones (Bits.shl va.lo k) (Bits.shl va.hi k)
-          else make zeros ones 0L (-1L)
-        | None -> top)
-      | Ast.Shr when not signed -> (
-        match is_const b with
-        | Some k ->
-          let k = Int64.to_int (Int64.logand k 63L) in
-          let zeros =
-            Int64.logor (Bits.shr va.zeros k)
-              (if k = 0 then 0L else Int64.shift_left (Bits.mask k) (64 - k))
-          in
-          make zeros (Bits.shr va.ones k) (Bits.shr va.lo k) (Bits.shr va.hi k)
-        | None -> range 0L va.hi)
-      | Ast.Shr (* signed *) -> (
-        match is_const b with
-        | Some k when Bits.bit va.zeros 63 ->
-          (* Provably non-negative: arithmetic = logical shift. *)
-          let k = Int64.to_int (Int64.logand k 63L) in
-          let zeros =
-            Int64.logor (Bits.shr va.zeros k)
-              (if k = 0 then 0L else Int64.shift_left (Bits.mask k) (64 - k))
-          in
-          make zeros (Bits.shr va.ones k) (Bits.shr va.lo k) (Bits.shr va.hi k)
-        | _ -> top)
-      | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-        match decide_cmp op ~signed a b with
-        | Some r -> of_bool r
-        | None -> bool_unknown)
-      | Ast.Land | Ast.Lor -> bool_unknown))
+      | Ast.Add -> Av.add a b
+      | Ast.Sub -> Av.sub a b
+      | Ast.Mul -> Av.mul a b
+      | Ast.Div -> if signed then Av.top else Av.udiv a b
+      | Ast.Rem -> if signed then Av.top else Av.urem a b
+      | Ast.And -> Av.logand a b
+      | Ast.Or -> Av.logor a b
+      | Ast.Xor -> Av.logxor a b
+      | Ast.Shl -> Av.shl a b
+      | Ast.Shr -> if signed then Av.ashr a b else Av.lshr a b
+      | Ast.Eq -> cmp Av.Eq
+      | Ast.Ne -> cmp Av.Ne
+      | Ast.Lt -> cmp Av.Lt
+      | Ast.Le -> cmp Av.Le
+      | Ast.Gt -> cmp Av.Gt
+      | Ast.Ge -> cmp Av.Ge
+      | Ast.Land | Ast.Lor -> Av.bool_unknown)
 
 let unary op a =
-  match a with
-  | Bot -> Bot
-  | V va -> (
-    match is_const a with
-    | Some x -> const (Eval.unop op x)
-    | None -> (
-      match op with
-      | Ast.Neg -> top
-      | Ast.Not -> make va.ones va.zeros (Int64.lognot va.hi) (Int64.lognot va.lo)
-      | Ast.Lnot ->
-        if not (contains a 0L) then const 0L
-        else bool_unknown))
-
-let normalize ~bits ~signed a =
-  match a with
-  | Bot -> Bot
-  | V va ->
-    if bits >= 64 then a
-    else if not signed then
-      let m = Bits.mask bits in
-      if Bits.ule va.hi m then a
-      else
-        make
-          (Int64.logor va.zeros (Int64.lognot m))
-          (Int64.logand va.ones m) 0L m
-    else begin
-      (* Sign extension of the low [bits] bits. *)
-      let m = Bits.mask bits in
-      if Bits.bit va.zeros (bits - 1) then begin
-        (* Sign bit known clear: sext = zext of the low bits. *)
-        if Bits.ule va.hi (Bits.mask (bits - 1)) then a
-        else
-          make
-            (Int64.logor (Int64.logand va.zeros m) (Int64.lognot m))
-            (Int64.logand va.ones m) 0L
-            (Bits.mask (bits - 1))
-      end
-      else if Bits.bit va.ones (bits - 1) then
-        (* Sign bit known set: high bits all become ones. *)
-        make (Int64.logand va.zeros m)
-          (Int64.logor (Int64.logand va.ones m) (Int64.lognot m))
-          0L (-1L)
-      else
-        make
-          (Int64.logand va.zeros (Bits.mask (bits - 1)))
-          (Int64.logand va.ones (Bits.mask (bits - 1)))
-          0L (-1L)
-    end
+  match Av.is_const a with
+  | Some x -> Av.const (Eval.unop op x)
+  | None -> (
+    match op with
+    | _ when Av.is_bot a -> Av.bot
+    | Ast.Neg -> Av.top
+    | Ast.Not -> Av.lognot a
+    | Ast.Lnot -> if not (Av.contains a 0L) then Av.const 0L else Av.bool_unknown)
 
 (* Width bound (in significant unsigned bits) of intrinsic results; shared
    with the optimizer's width analysis so both layers assume identical
@@ -355,26 +103,26 @@ let is_pure_builtin name =
   | _ -> false
 
 let intrinsic name args =
-  if List.exists is_bot args then Bot
+  if List.exists Av.is_bot args then Av.bot
   else
-    let consts = List.map is_const args in
+    let consts = List.map Av.is_const args in
     if is_pure_builtin name && List.for_all Option.is_some consts then
       match Eval.builtin name (List.map Option.get consts) with
-      | Some v -> const v
-      | None -> of_width (intrinsic_width name)
-    else of_width (intrinsic_width name)
+      | Some v -> Av.const v
+      | None -> Av.of_width (intrinsic_width name)
+    else Av.of_width (intrinsic_width name)
 
 (* --- the fixpoint engine --------------------------------------------------- *)
 
 type verdict = Always | Never | Unknown
 
 type summary = {
-  values : (Ir.id, t) Hashtbl.t;
+  values : (Ir.id, Av.t) Hashtbl.t;
   reached : (int, unit) Hashtbl.t;
   verdicts : (int, verdict) Hashtbl.t; (* block id -> branch verdict *)
 }
 
-let value s id = match Hashtbl.find_opt s.values id with Some v -> v | None -> Bot
+let value s id = match Hashtbl.find_opt s.values id with Some v -> v | None -> Av.bot
 let block_reachable s bid = Hashtbl.mem s.reached bid
 let branch_verdict s bid =
   match Hashtbl.find_opt s.verdicts bid with Some v -> v | None -> Unknown
@@ -402,13 +150,13 @@ let rpo_and_loop_heads (action : Ir.action) =
 (* Refine [v]'s interval for the given comparison outcome against [bound]. *)
 let refine_var_by_cmp op ~outcome v bound =
   match (v, bound) with
-  | Bot, _ | _, Bot -> Bot
-  | V _, V vb -> (
+  | Av.Bot, _ | _, Av.Bot -> Av.bot
+  | Av.V _, Av.V vb -> (
     (* Normalize to one of: v < k, v <= k, v > k, v >= k, v = b. *)
-    let lt_hi k = if k = 0L then Bot else meet v (range 0L (Int64.sub k 1L)) in
-    let le_hi k = meet v (range 0L k) in
-    let ge_lo k = meet v (range k (-1L)) in
-    let gt_lo k = if k = -1L then Bot else meet v (range (Int64.add k 1L) (-1L)) in
+    let lt_hi k = if k = 0L then Av.bot else Av.meet v (Av.range 0L (Int64.sub k 1L)) in
+    let le_hi k = Av.meet v (Av.range 0L k) in
+    let ge_lo k = Av.meet v (Av.range k (-1L)) in
+    let gt_lo k = if k = -1L then Av.bot else Av.meet v (Av.range (Int64.add k 1L) (-1L)) in
     match (op, outcome) with
     | Ast.Lt, true -> lt_hi vb.hi
     | Ast.Lt, false -> ge_lo vb.lo
@@ -418,15 +166,15 @@ let refine_var_by_cmp op ~outcome v bound =
     | Ast.Gt, false -> le_hi vb.hi
     | Ast.Ge, true -> ge_lo vb.lo
     | Ast.Ge, false -> lt_hi vb.hi
-    | Ast.Eq, true -> meet v bound
-    | Ast.Ne, false -> meet v bound
+    | Ast.Eq, true -> Av.meet v bound
+    | Ast.Ne, false -> Av.meet v bound
     | _ -> v)
 
 let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
   let nvars = action.Ir.next_var in
-  let values : (Ir.id, t) Hashtbl.t = Hashtbl.create 64 in
-  let value_of id = match Hashtbl.find_opt values id with Some v -> v | None -> top in
-  let instates : (int, t array) Hashtbl.t = Hashtbl.create 8 in
+  let values : (Ir.id, Av.t) Hashtbl.t = Hashtbl.create 64 in
+  let value_of id = match Hashtbl.find_opt values id with Some v -> v | None -> Av.top in
+  let instates : (int, Av.t array) Hashtbl.t = Hashtbl.create 8 in
   let visits : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let order, heads = rpo_and_loop_heads action in
   let defs = Hashtbl.create 64 in
@@ -435,7 +183,7 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
     action.Ir.blocks;
   let changed = ref false in
   (* Merge an edge's variable state into [target]'s in-state. *)
-  let flow target (vars : t array) =
+  let flow target (vars : Av.t array) =
     match Hashtbl.find_opt instates target with
     | None ->
       Hashtbl.replace instates target (Array.copy vars);
@@ -443,7 +191,7 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
     | Some cur ->
       let vcount = (Hashtbl.find_opt visits target |> Option.value ~default:0) + 1 in
       Hashtbl.replace visits target vcount;
-      let op = if Hashtbl.mem heads target && vcount > 2 then widen else join in
+      let op = if Hashtbl.mem heads target && vcount > 2 then Av.widen else Av.join in
       for v = 0 to nvars - 1 do
         let merged = op cur.(v) vars.(v) in
         if merged <> cur.(v) then begin
@@ -452,41 +200,41 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
         end
       done
   in
-  let eval_desc (vars : t array) desc =
+  let eval_desc (vars : Av.t array) desc =
     match desc with
-    | Ir.Const c -> const c
+    | Ir.Const c -> Av.const c
     | Ir.Struct f -> (
-      match List.assoc_opt f ctx.field_widths with Some w -> of_width w | None -> top)
+      match List.assoc_opt f ctx.field_widths with Some w -> Av.of_width w | None -> Av.top)
     | Ir.Binary (op, signed, a, b) -> binary op ~signed (value_of a) (value_of b)
     | Ir.Unary (op, a) -> unary op (value_of a)
-    | Ir.Normalize (w, signed, a) -> normalize ~bits:w ~signed (value_of a)
+    | Ir.Normalize (w, signed, a) -> Av.normalize ~bits:w ~signed (value_of a)
     | Ir.Select (c, t, f) ->
       let vc = value_of c in
-      if is_bot vc then Bot
-      else if not (contains vc 0L) then value_of t
-      else if is_const vc = Some 0L then value_of f
-      else join (value_of t) (value_of f)
+      if Av.is_bot vc then Av.bot
+      else if not (Av.contains vc 0L) then value_of t
+      else if Av.is_const vc = Some 0L then value_of f
+      else Av.join (value_of t) (value_of f)
     | Ir.Bank_read (bank, _) -> (
-      match List.assoc_opt bank ctx.bank_widths with Some w -> of_width w | None -> top)
+      match List.assoc_opt bank ctx.bank_widths with Some w -> Av.of_width w | None -> Av.top)
     | Ir.Reg_read slot -> (
-      match List.assoc_opt slot ctx.slot_widths with Some w -> of_width w | None -> top)
-    | Ir.Var_read v -> if v >= 0 && v < nvars then vars.(v) else top
-    | Ir.Mem_read (w, _) -> of_width w
-    | Ir.Pc_read -> top
-    | Ir.Coproc_read _ -> top
+      match List.assoc_opt slot ctx.slot_widths with Some w -> Av.of_width w | None -> Av.top)
+    | Ir.Var_read v -> if v >= 0 && v < nvars then vars.(v) else Av.top
+    | Ir.Mem_read (w, _) -> Av.of_width w
+    | Ir.Pc_read -> Av.top
+    | Ir.Coproc_read _ -> Av.top
     | Ir.Intrinsic (name, args) -> intrinsic name (List.map value_of args)
     | Ir.Phi arms ->
       List.fold_left
         (fun acc (pred, x) ->
-          if Hashtbl.mem instates pred then join acc (value_of x) else acc)
-        Bot arms
+          if Hashtbl.mem instates pred then Av.join acc (value_of x) else acc)
+        Av.bot arms
     | Ir.Bank_write _ | Ir.Reg_write _ | Ir.Var_write _ | Ir.Mem_write _ | Ir.Pc_write _
     | Ir.Coproc_write _ | Ir.Effect _ ->
-      top
+      Av.top
   in
   (* Transfer one block: returns the out-state and the set of still-fresh
      Var_read ids (read id, var) usable for branch-edge refinement. *)
-  let transfer (b : Ir.block) (in_vars : t array) =
+  let transfer (b : Ir.block) (in_vars : Av.t array) =
     let vars = Array.copy in_vars in
     let fresh_reads = ref [] in
     List.iter
@@ -506,7 +254,7 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
      concrete interpreter, so they start as the {0} singleton. *)
   (match action.Ir.blocks with
   | [] -> ()
-  | entry :: _ -> Hashtbl.replace instates entry.Ir.bid (Array.make nvars (const 0L)));
+  | entry :: _ -> Hashtbl.replace instates entry.Ir.bid (Array.make nvars (Av.const 0L)));
   let rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -546,10 +294,10 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
               | _ -> ());
               vars
             in
-            if is_bot vc then ()
+            if Av.is_bot vc then ()
             else begin
-              if contains vc 0L then flow f (refined false);
-              if is_const vc <> Some 0L then flow t (refined true)
+              if Av.contains vc 0L then flow f (refined false);
+              if Av.is_const vc <> Some 0L then flow t (refined true)
             end))
       order;
     continue_ := !changed
@@ -562,10 +310,10 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
     (fun (b : Ir.block) ->
       match b.Ir.term with
       | Ir.Branch (c, _, _) when Hashtbl.mem reached b.Ir.bid ->
-        let vc = match Hashtbl.find_opt values c with Some v -> v | None -> top in
+        let vc = match Hashtbl.find_opt values c with Some v -> v | None -> Av.top in
         let v =
-          if is_const vc = Some 0L then Never
-          else if (not (is_bot vc)) && not (contains vc 0L) then Always
+          if Av.is_const vc = Some 0L then Never
+          else if (not (Av.is_bot vc)) && not (Av.contains vc 0L) then Always
           else Unknown
         in
         Hashtbl.replace verdicts b.Ir.bid v
@@ -634,10 +382,10 @@ let validate ?(ctx = no_ctx) ?ref_summary ?opt_summary ~reference ~optimized () 
               incr compared;
               if Ir.produces_value i.Ir.desc then begin
                 let vr = value s_ref i.Ir.id and vo = value s_opt i.Ir.id in
-                if not (comparable vr vo) then
+                if not (Av.comparable vr vo) then
                   add ~stmt:i.Ir.id ~block:b.Ir.bid
                     (Printf.sprintf "incomparable abstract results: %s (reference) vs %s (optimized)"
-                       (to_string vr) (to_string vo))
+                       (Av.to_string vr) (Av.to_string vo))
               end
               else begin
                 if not (same_shape rdesc i.Ir.desc) then
@@ -647,11 +395,11 @@ let validate ?(ctx = no_ctx) ?ref_summary ?opt_summary ~reference ~optimized () 
                   List.iter2
                     (fun oref oopt ->
                       let vr = value s_ref oref and vo = value s_opt oopt in
-                      if not (comparable vr vo) then
+                      if not (Av.comparable vr vo) then
                         add ~stmt:i.Ir.id ~block:b.Ir.bid
                           (Printf.sprintf
                              "incomparable operand: s_%d %s (reference) vs s_%d %s (optimized)"
-                             oref (to_string vr) oopt (to_string vo)))
+                             oref (Av.to_string vr) oopt (Av.to_string vo)))
                     (Ir.operands rdesc) (Ir.operands i.Ir.desc)
               end)
           b.Ir.insts)
@@ -676,9 +424,9 @@ let check_ranges ?(ctx = no_ctx) ?summary (action : Ir.action) =
     | Some count ->
       incr checked;
       let v = value s idx in
-      if not (leq v (range 0L (Int64.of_int (count - 1)))) then
+      if not (Av.leq v (Av.range 0L (Int64.of_int (count - 1)))) then
         add ~stmt ~block:bid
-          (Printf.sprintf "bank %d index %s not provably within [0,%d)" bank (to_string v) count)
+          (Printf.sprintf "bank %d index %s not provably within [0,%d)" bank (Av.to_string v) count)
   in
   let check_slot bid stmt slot =
     if ctx.slot_indices <> [] then begin
@@ -745,22 +493,22 @@ let simplify ~replace_uses ctx (action : Ir.action) =
             let aval op = value s op in
             match i.Ir.desc with
             (* Fully-known result: rewrite to a constant. *)
-            | d when foldable d && is_const (value s i.Ir.id) <> None ->
-              let v = Option.get (is_const (value s i.Ir.id)) in
+            | d when foldable d && Av.is_const (value s i.Ir.id) <> None ->
+              let v = Option.get (Av.is_const (value s i.Ir.id)) in
               i.Ir.desc <- Ir.Const v;
               simplify_stats.stmts_folded <- simplify_stats.stmts_folded + 1;
               changed := true
             (* Redundant mask: every possibly-set bit of [a] is kept. *)
             | Ir.Binary (Ast.And, _, a, m)
-              when (match is_const (aval m) with
-                   | Some mv -> Int64.logand (Int64.lognot (known_zeros (aval a))) (Int64.lognot mv) = 0L
+              when (match Av.is_const (aval m) with
+                   | Some mv -> Int64.logand (Int64.lognot (Av.known_zeros (aval a))) (Int64.lognot mv) = 0L
                    | None -> false) ->
               replace_uses action ~from:i.Ir.id ~to_:a;
               simplify_stats.masks_dropped <- simplify_stats.masks_dropped + 1;
               changed := true
             | Ir.Binary (Ast.And, _, m, a)
-              when (match is_const (aval m) with
-                   | Some mv -> Int64.logand (Int64.lognot (known_zeros (aval a))) (Int64.lognot mv) = 0L
+              when (match Av.is_const (aval m) with
+                   | Some mv -> Int64.logand (Int64.lognot (Av.known_zeros (aval a))) (Int64.lognot mv) = 0L
                    | None -> false) ->
               replace_uses action ~from:i.Ir.id ~to_:a;
               simplify_stats.masks_dropped <- simplify_stats.masks_dropped + 1;
@@ -768,29 +516,29 @@ let simplify ~replace_uses ctx (action : Ir.action) =
             (* Abstract identities: adding/oring/xoring/shifting a proved
                zero, even when the operand is not a literal constant. *)
             | Ir.Binary ((Ast.Add | Ast.Or | Ast.Xor | Ast.Shl | Ast.Shr | Ast.Sub), _, a, z)
-              when is_const (aval z) = Some 0L ->
+              when Av.is_const (aval z) = Some 0L ->
               replace_uses action ~from:i.Ir.id ~to_:a;
               simplify_stats.stmts_folded <- simplify_stats.stmts_folded + 1;
               changed := true
             | Ir.Binary ((Ast.Add | Ast.Or | Ast.Xor), _, z, a)
-              when is_const (aval z) = Some 0L ->
+              when Av.is_const (aval z) = Some 0L ->
               replace_uses action ~from:i.Ir.id ~to_:a;
               simplify_stats.stmts_folded <- simplify_stats.stmts_folded + 1;
               changed := true
             (* A truncation that provably cannot change the value. *)
-            | Ir.Normalize (w, false, a) when w < 64 && leq (aval a) (of_width w) ->
+            | Ir.Normalize (w, false, a) when w < 64 && Av.leq (aval a) (Av.of_width w) ->
               replace_uses action ~from:i.Ir.id ~to_:a;
               simplify_stats.masks_dropped <- simplify_stats.masks_dropped + 1;
               changed := true
             (* A sign extension of a value proved to fit in bits-1. *)
             | Ir.Normalize (w, true, a)
-              when w > 1 && w < 64 && leq (aval a) (of_width (w - 1)) ->
+              when w > 1 && w < 64 && Av.leq (aval a) (Av.of_width (w - 1)) ->
               replace_uses action ~from:i.Ir.id ~to_:a;
               simplify_stats.masks_dropped <- simplify_stats.masks_dropped + 1;
               changed := true
             (* A select whose condition is decided. *)
-            | Ir.Select (c, t, f) when is_const (aval c) <> None || not (contains (aval c) 0L) ->
-              let target = if is_const (aval c) = Some 0L then f else t in
+            | Ir.Select (c, t, f) when Av.is_const (aval c) <> None || not (Av.contains (aval c) 0L) ->
+              let target = if Av.is_const (aval c) = Some 0L then f else t in
               replace_uses action ~from:i.Ir.id ~to_:target;
               simplify_stats.stmts_folded <- simplify_stats.stmts_folded + 1;
               changed := true

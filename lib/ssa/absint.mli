@@ -1,11 +1,10 @@
 (** Forward abstract interpretation over SSA actions.
 
-    The domain is a product of known-bits (per-bit 0/1/unknown) and
-    unsigned intervals, with the two halves refining each other.
-    Decode-instruction fields are seeded from the architecture context
-    (a field of width [w] starts as [[0, 2^w-1]] with the high bits
-    known-zero), so proofs hold for every decoding of the instruction
-    class.  Widening at loop heads climbs the [2^k-1] ladder, keeping
+    Values live in the shared known-bits × unsigned-interval domain
+    ({!Dbt_util.Absval}).  Decode-instruction fields are seeded from the
+    architecture context (a field of width [w] starts as [[0, 2^w-1]]
+    with the high bits known-zero), so proofs hold for every decoding of
+    the instruction class.  Widening at loop heads climbs the [2^k-1] ladder, keeping
     loop analysis convergent while preserving width facts.
 
     Consumers: the O3 [absint-simplify] pass body ({!simplify}), the
@@ -25,63 +24,20 @@ type ctx = {
 
 val no_ctx : ctx
 
-(** {1 The abstract value lattice} *)
+(** {1 Transfer functions}
 
-(** An abstract set of 64-bit values: bottom (no value) or the product
-    of a known-bits mask pair and an unsigned interval. *)
-type t
+    SSA opcodes mapped onto the shared domain ({!Dbt_util.Absval});
+    singleton operands fold through [Adl.Eval].  Exposed for the
+    property tests. *)
 
-val bot : t
-val top : t
+val binary :
+  Adl.Ast.binop -> signed:bool -> Dbt_util.Absval.t -> Dbt_util.Absval.t -> Dbt_util.Absval.t
 
-val const : int64 -> t
-
-(** [range lo hi] is the unsigned interval [lo..hi]. *)
-val range : int64 -> int64 -> t
-
-(** [of_width w]: all values representable in [w] unsigned bits. *)
-val of_width : int -> t
-
-val is_bot : t -> bool
-
-(** [Some c] iff the abstraction is the singleton [{c}]. *)
-val is_const : t -> int64 option
-
-(** Mask of bits proved zero (all-ones for bottom). *)
-val known_zeros : t -> int64
-
-(** Mask of bits proved one (zero for bottom). *)
-val known_ones : t -> int64
-
-(** Concretization membership: is the concrete value contained? *)
-val contains : t -> int64 -> bool
-
-val join : t -> t -> t
-val meet : t -> t -> t
-
-(** [widen old next] over-approximates [join old next] and guarantees
-    convergence of ascending chains. *)
-val widen : t -> t -> t
-
-(** Lattice order: [leq a b] iff every value of [a] is a value of [b]. *)
-val leq : t -> t -> bool
-
-(** [comparable a b] iff one abstraction contains the other.  Two sound
-    approximations of the same concrete value are always comparable in
-    practice here; disjoint ones prove a semantic change. *)
-val comparable : t -> t -> bool
-
-val to_string : t -> string
-
-(** {1 Transfer functions} (exposed for the property tests) *)
-
-val binary : Adl.Ast.binop -> signed:bool -> t -> t -> t
-val unary : Adl.Ast.unop -> t -> t
-val normalize : bits:int -> signed:bool -> t -> t
+val unary : Adl.Ast.unop -> Dbt_util.Absval.t -> Dbt_util.Absval.t
 
 (** Abstract result of a builtin call (exact when pure with singleton
     arguments, else bounded by {!intrinsic_width}). *)
-val intrinsic : string -> t list -> t
+val intrinsic : string -> Dbt_util.Absval.t list -> Dbt_util.Absval.t
 
 (** Upper bound on the significant result bits of a builtin; shared with
     the optimizer's width analysis. *)
@@ -100,7 +56,7 @@ type summary
 val analyze : ?ctx:ctx -> Ir.action -> summary
 
 (** Abstract value of a statement id (bottom if never reached). *)
-val value : summary -> Ir.id -> t
+val value : summary -> Ir.id -> Dbt_util.Absval.t
 
 val block_reachable : summary -> int -> bool
 

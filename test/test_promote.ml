@@ -1,9 +1,7 @@
-(* Register-promotion and memory-redundancy-elimination tests: the
-   Promote pass rewrites synthetic streams as specified (promotion,
-   store-to-load forwarding with width-exact zero extension, alias
-   kills, rf forwarding, identity-ALU canonicalization), the writeback
-   verifier rejects the documented bad shapes, and two differential
-   properties check that promoted regions are observationally
+(* Register-promotion tests: the Promote pass rewrites synthetic
+   streams as specified (promotion, rf forwarding, identity-ALU
+   canonicalization), the writeback verifier rejects the documented bad
+   shapes, and two differential properties check that promoted regions are observationally
    equivalent to per-block tier-0 execution — including when guest
    faults are delivered from the middle of a promoted region. *)
 
@@ -54,59 +52,6 @@ let test_promotion_rewrite () =
   Alcotest.(check_raises) "verifier accepts the rewrite" Not_found (fun () ->
       V.check_wb_exn ~promoted out;
       raise Not_found)
-
-let test_store_forward_width () =
-  (* A 32-bit store forwarded into a 32-bit load must zero-extend: the
-     stored operand may carry garbage above bit 31. *)
-  let stream =
-    [| H.Mem_st (32, v 0, v 1); H.Mem_ld (32, v 2, v 0); H.Exit 0 |]
-  in
-  let out, _, st = P.run stream in
-  Alcotest.(check int) "store forwarded" 1 st.P.stores_forwarded;
-  Alcotest.(check int) "forward is a zero-extension"
-    1 (count (function H.Ext (false, 32, _, _) -> true | _ -> false) out);
-  Alcotest.(check int) "the load is gone"
-    0 (count (function H.Mem_ld _ -> true | _ -> false) out);
-  (* At 64 bits the forward is a plain move. *)
-  let out64, _, st64 =
-    P.run [| H.Mem_st (64, v 0, v 1); H.Mem_ld (64, v 2, v 0); H.Exit 0 |]
-  in
-  Alcotest.(check int) "64-bit store forwarded" 1 st64.P.stores_forwarded;
-  Alcotest.(check int) "no extension at full width"
-    0 (count (function H.Ext _ -> true | _ -> false) out64)
-
-let test_redundant_load_and_alias_kill () =
-  (* Second load of the same address is elided; a store through an
-     unrelated base vreg may alias and must kill the availability. *)
-  let _, _, st =
-    P.run [| H.Mem_ld (64, v 2, v 0); H.Mem_ld (64, v 3, v 0); H.Exit 0 |]
-  in
-  Alcotest.(check int) "redundant load elided" 1 st.P.loads_elided;
-  let out, _, st =
-    P.run
-      [|
-        H.Mem_ld (64, v 2, v 0);
-        H.Mem_st (64, v 1, H.Imm 5L);
-        H.Mem_ld (64, v 3, v 0);
-        H.Exit 0;
-      |]
-  in
-  Alcotest.(check int) "aliasing store kills the forward" 0 st.P.loads_elided;
-  Alcotest.(check int) "both loads survive"
-    2 (count (function H.Mem_ld _ -> true | _ -> false) out);
-  (* A store at a provably disjoint displacement off the same base does
-     not kill it. *)
-  let _, _, st =
-    P.run
-      [|
-        H.Mem_ld (64, v 2, v 0);
-        H.Alu (H.Aadd, v 1, v 0, H.Imm 64L);
-        H.Mem_st (64, v 1, H.Imm 7L);
-        H.Mem_ld (64, v 3, v 0);
-        H.Exit 0;
-      |]
-  in
-  Alcotest.(check int) "disjoint store preserves the forward" 1 st.P.loads_elided
 
 let test_rf_forward_and_canonicalize () =
   (* Below the promotion threshold, a register-file store still forwards
@@ -327,8 +272,6 @@ let suite =
   ( "promote",
     [
       Alcotest.test_case "promotion rewrite + writeback map" `Quick test_promotion_rewrite;
-      Alcotest.test_case "store-to-load forward widths" `Quick test_store_forward_width;
-      Alcotest.test_case "redundant load + alias kill" `Quick test_redundant_load_and_alias_kill;
       Alcotest.test_case "rf forwarding + canonicalize" `Quick test_rf_forward_and_canonicalize;
       Alcotest.test_case "writeback verifier fixtures" `Quick test_wb_fixtures;
       Alcotest.test_case "guest faults mid-region" `Quick test_fault_mid_region;
