@@ -9,8 +9,7 @@
      captive_run mmucheck --json --guard
      captive_run stress --json --seeds 32
      captive_run bench --quick --json
-     captive_run validate --json
-     captive_run relocheck --json
+     captive_run check --json
      captive_run aot --json
 
    `spec` runs a SPEC CPU2006 proxy under the mini guest OS, `simbench`
@@ -26,16 +25,17 @@
    worker domains, sanitizer + single-domain equivalence as oracles),
    `bench` is the CI perf-regression gate against bench/baseline.json
    (with --exact, the determinism gate: exec/jit cycle bit-identity at
-   --domains 1), `validate`
-   symbolically checks every translation formed while booting the ARM
-   and RISC-V workloads at O1-O4 against an unoptimized reference
-   emission (Hostir.Equiv), `relocheck` certifies every translation
-   relocation-clean (Hostir.Reloc: no absolute host addresses, numbered
-   exits only, environment references in bounds, deterministic
-   encoding), and `aot` is the persistent-cache warm-boot gate: each
-   quick-bench workload runs cold then warm against the same on-disk
-   AOT cache, and the warm boot must spend <= 10% of the cold boot's
-   translate cycles with bit-identical guest-visible execution. *)
+   --domains 1), `check` runs the three translate-time checkers in one
+   pass over every translation formed while booting the ARM and RISC-V
+   workloads at O1-O4 — symbolic equivalence against an unoptimized
+   reference emission (Hostir.Equiv), static obligations
+   (Hostir.Absint) and relocation cleanliness (Hostir.Reloc: no
+   absolute host addresses, numbered exits only, environment references
+   in bounds, deterministic encoding) — and `aot` is the
+   persistent-cache warm-boot gate: each quick-bench workload runs cold
+   then warm against the same on-disk AOT cache, and the warm boot must
+   spend <= 10% of the cold boot's translate cycles with bit-identical
+   guest-visible execution. *)
 
 open Cmdliner
 
@@ -710,8 +710,7 @@ let stress_cmd =
    shape `bench/baseline.json` is committed in.  When a baseline is
    available the verdict gates: the run fails if tiered Captive cycles on
    any workload regress by more than 5% over the baseline, or if the
-   Captive-vs-QEMU speedup drops below baseline - 5%.  Scaling reuses the
-   harness's BENCH_SCALE convention so the quick set stays under ~60s. *)
+   Captive-vs-QEMU speedup drops below baseline - 5%. *)
 
 module MJ = Dbt_util.Minijson
 
@@ -891,10 +890,6 @@ let bench_cmd =
                  uses this to measure pure cold-boot translate cost.")
   in
   let run json quick baseline scale exact domains hot_threshold =
-    let scale =
-      if scale <> 1 then scale
-      else try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
-    in
     let names = if quick then bench_quick_names else bench_full_names in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
@@ -1011,12 +1006,10 @@ let bench_cmd =
        ~doc:"Run the perf benchmark set on all engines and gate against bench/baseline.json.")
     Term.(ret (const run $ json $ quick $ baseline $ scale_arg $ exact $ domains $ hot_threshold))
 
-(* --- validate ------------------------------------------------------------------------ *)
+(* --- check ----------------------------------------------------------------------------- *)
 
-(* --- checker sweeps (validate, analyze, relocheck) ----------------------------------- *)
-
-(* The checker sweeps' workload matrix: name, program, expected exit
-   code.  Each sweep boots every workload at every offline level O1-O4. *)
+(* The checker sweep's workload matrix: name, program, expected exit
+   code.  The sweep boots every workload at every offline level O1-O4. *)
 let sweep_workloads () =
   let spec name = Arm_user ((Workloads.Spec.find name).Workloads.Spec.build ~scale:1) in
   [ ("armv8-a-boot", Arm_user (demo_user ()), 0);
@@ -1031,259 +1024,161 @@ let sweep_workloads () =
     ("rv64im-mmu", Riscv_mmu, Workloads.Mmu_stress.riscv_expected_exit);
   ]
 
-let sweep_workload_arg =
-  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-         ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
-
-let sweep_level_arg =
-  Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-         ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
+let checker_name = function
+  | Captive.Jit.Validate -> "validate"
+  | Captive.Jit.Analyze -> "analyze"
+  | Captive.Jit.Reloc -> "reloc"
 
 (* What one checker reports for one workload/level run: its finding
-   count and log, and its own fields of the JSON and human rows. *)
-type sweep_row = {
-  sr_findings : int;
-  sr_log : (string * string) list; (* newest first, as the engine keeps it *)
-  sr_json : string;
-  sr_human : string;
-}
-
-(* Run one checker sweep: boot the (filtered) matrix with [config], let
-   [check] account each engine's counters into the summary, and fail on
-   any finding or wrong guest exit code.  With [json], stdout carries
-   one object per workload/level pair plus a summary line; findings go
-   to stderr. *)
-let checker_sweep ~cmd ~doing ~width ~config ~json ~workload ~level check =
-  let failures = ref 0 in
-  let summary = Counters.create () in
-  let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-  let shout line = if json then prerr_endline line else print_endline line in
-  let workloads =
-    List.filter (fun (n, _, _) -> workload = "all" || workload = n) (sweep_workloads ())
+   count and its own fields of the JSON and human rows.  Computing it
+   also adds the run's counters into the sweep summary. *)
+let checker_row summary (s : Captive.Engine.phase_stats) checker =
+  let module E = Captive.Engine in
+  (* (verb, finding kind, timer field, blocks, regions, findings, seconds,
+     extra (JSON field, summary counter, value)s) *)
+  let verb, kind, timer, nb, nr, nf, t, extra =
+    match checker with
+    | Captive.Jit.Validate ->
+      ( "validated", "divergence", "validate_ms", s.E.blocks_validated, s.E.regions_validated,
+        s.E.validation_findings, s.E.t_validate,
+        [ ("bounded", "bounded checks", s.E.validations_bounded) ] )
+    | Captive.Jit.Analyze ->
+      ( "analyzed", "obligation", "analyze_ms", s.E.blocks_analyzed, s.E.regions_analyzed,
+        s.E.obligation_findings, s.E.t_analyze,
+        [ ("branches_folded", "absint branches folded", s.E.absint_branches_folded);
+          ("consts_folded", "absint consts folded", s.E.absint_consts_folded);
+          ("masks_dropped", "absint masks dropped", s.E.absint_masks_dropped);
+          ("dead_deleted", "absint dead deleted", s.E.absint_dead_deleted) ] )
+    | Captive.Jit.Reloc ->
+      ( "certified", "relocation", "relocheck_ms", s.E.blocks_certified, s.E.regions_certified,
+        s.E.reloc_findings, s.E.t_reloc, [] )
   in
-  let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
-  say "%s: %d workload(s) x %d level(s) with %s\n%!" cmd (List.length workloads)
-    (List.length levels) doing;
-  List.iter
-    (fun level ->
-      List.iter
-        (fun (name, program, expected) ->
-          let e, code = boot ~config ~level program in
-          let row = check summary e in
-          if row.sr_findings > 0 then begin
-            failures := !failures + row.sr_findings;
-            List.iter
-              (fun (what, detail) ->
-                shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-              (List.rev row.sr_log)
-          end;
-          if code <> expected then begin
-            incr failures;
-            shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
-          end;
-          if json then
-            Printf.printf
-              "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,%s}\n"
-              (Dbt_util.Stats.json_string name)
-              level code expected row.sr_json
-          else say "%-*s O%d: exit %d (expected %d), %s\n%!" width name level code expected row.sr_human)
-        workloads)
-    levels;
-  if json then
-    Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
-      (List.length workloads * List.length levels)
-      !failures (Counters.to_json summary)
-  else say "\n%s counters:\n%s" cmd (Counters.report summary);
-  if !failures = 0 then begin
-    if not json then Printf.printf "%s: no findings\n" cmd;
-    `Ok ()
-  end
-  else `Error (false, Printf.sprintf "%s: %d finding(s)" cmd !failures)
+  Counters.bump summary ("programs " ^ verb) ~by:(nb + nr);
+  Counters.bump summary ("blocks " ^ verb) ~by:nb;
+  Counters.bump summary ("regions " ^ verb) ~by:nr;
+  Counters.bump summary (kind ^ " findings") ~by:nf;
+  List.iter (fun (_, name, n) -> Counters.bump summary name ~by:n) extra;
+  let ms = 1000. *. t in
+  let per = ms /. float_of_int (max 1 (nb + nr)) in
+  let counts =
+    [ ("blocks_" ^ verb, nb); ("regions_" ^ verb, nr); ("findings", nf) ]
+    @ List.map (fun (field, _, n) -> (field, n)) extra
+  in
+  ( nf,
+    Printf.sprintf "%s,\"%s\":%.1f,\"ms_per_program\":%.3f"
+      (String.concat "," (List.map (fun (field, n) -> Printf.sprintf "\"%s\":%d" field n) counts))
+      timer ms per,
+    Printf.sprintf "%5d blocks + %3d regions %s, %d finding(s)%s, %6.1fms (%.3fms/program)" nb nr
+      verb nf
+      (String.concat "" (List.map (fun (field, _, n) -> Printf.sprintf ", %s %d" field n) extra))
+      ms per )
 
-(* End-to-end symbolic translation validation (Hostir.Equiv): boot the
-   ARM mini-OS demo, the ARM MMU-stress workload and the RISC-V
-   bare-metal MMU-stress image with `validate_translations` enabled, at
-   every offline optimization level O1-O4.  Every tier-0 block (and, when
-   tiering kicks in, every region) formed by the engine is symbolically
-   executed alongside an unoptimized per-instruction reference emission
-   from the same decode, and the exit states — PC, register file
-   (promoted offsets equated through the writeback map), ordered store
-   trace and helper-call arguments — are compared term-by-term.  Exit
-   status is non-zero on any divergence finding or wrong guest exit
-   code.  With --json, stdout carries one counter object per
-   workload/level pair plus a summary line for the CI artifact;
-   findings (with both term trees) go to stderr. *)
-
-let validate_cmd =
+(* The translate-time checker sweep: boot every workload of the matrix
+   at every offline level O1-O4 once, with all three checkers on.
+   - Equiv (Hostir.Equiv) symbolically executes every tier-0 block and
+     every region alongside an unoptimized per-instruction reference
+     emission from the same decode, and compares the exit states — PC,
+     register file (promoted offsets equated through the writeback
+     map), ordered store trace and helper-call arguments — term by term.
+   - The Absint obligations (Hostir.Absint) require register-file
+     accesses in bounds and aligned, spill-slot accesses inside the
+     allocated frame, and the promoted writeback discipline (dirty
+     coverage, call barriers, staleness).
+   - Reloc (Hostir.Reloc) decodes each translation back from its bytes
+     and classifies it operand by operand: no absolute host addresses,
+     control leaves only through numbered exits, environment references
+     in bounds, helpers by symbol id, and decode -> re-encode reproduces
+     the bytes.  Clean programs get the certificate the AOT cache
+     requires, so one finding is a hard failure.
+   Any finding or wrong guest exit code fails the sweep.  With --json,
+   stdout carries one object per workload/level pair, each checker's
+   fields nested under its name, plus a summary line; findings go to
+   stderr in discovery order. *)
+let check_cmd =
   let json =
     Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one counter object per workload/level pair plus a summary line as \
-                 JSON on stdout; divergence findings go to stderr.")
+           ~doc:"Emit one object per workload/level pair plus a summary line as JSON on \
+                 stdout; findings go to stderr.")
   in
-  let every =
-    Arg.(value & opt int 1 & info [ "every" ] ~docv:"N"
-           ~doc:"Validate every Nth translated tier-0 block (regions are always \
-                 validated).  1 validates everything.")
+  let workload =
+    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
+           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
   in
-  let run json every workload level =
-    if every < 1 then `Error (true, "--every must be >= 1")
-    else
-      let config =
-        { Captive.Engine.default_config with
-          Captive.Engine.validate_translations = true;
-          validate_every = every;
-        }
-      in
-      checker_sweep ~cmd:"validate" ~doing:"symbolic translation validation" ~width:14 ~config
-        ~json ~workload ~level (fun summary e ->
-          let s = e.Captive.Engine.stats in
-          let nb = s.Captive.Engine.blocks_validated in
-          let nr = s.Captive.Engine.regions_validated in
-          let nf = s.Captive.Engine.validation_findings in
-          let nbd = s.Captive.Engine.validations_bounded in
-          Counters.bump summary "programs validated" ~by:(nb + nr);
-          Counters.bump summary "blocks validated" ~by:nb;
-          Counters.bump summary "regions validated" ~by:nr;
-          Counters.bump summary "divergence findings" ~by:nf;
-          Counters.bump summary "bounded checks" ~by:nbd;
-          let ms = 1000. *. s.Captive.Engine.t_validate in
-          let per = ms /. float_of_int (max 1 (nb + nr)) in
-          {
-            sr_findings = nf;
-            sr_log = e.Captive.Engine.validation_log;
-            sr_json =
-              Printf.sprintf
-                "\"blocks_validated\":%d,\"regions_validated\":%d,\"findings\":%d,\"bounded\":%d,\"validate_ms\":%.1f,\"ms_per_program\":%.3f"
-                nb nr nf nbd ms per;
-            sr_human =
-              Printf.sprintf
-                "%4d blocks + %2d regions validated, %d finding(s), %d bounded, %6.1fms (%.2fms/program)"
-                nb nr nf nbd ms per;
-          })
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Symbolically validate every translation formed while running the ARM and \
-             RISC-V workloads at O1-O4 against an unoptimized reference emission.")
-    Term.(ret (const run $ json $ every $ sweep_workload_arg $ sweep_level_arg))
-
-(* --- analyze ------------------------------------------------------------------------- *)
-
-(* Translate-time abstract interpretation sweep (Hostir.Absint): the same
-   workload matrix as `validate`, run with `analyze_translations`
-   enabled.  Every tier-0 block and every flattened region the engine
-   forms is pushed through the dataflow analyzer and checked against the
-   static obligations — register-file accesses in bounds and aligned,
-   spill-slot accesses inside the allocated frame, the promoted
-   writeback discipline (dirty coverage, call barriers, staleness) — at
-   every offline optimization level O1-O4.  Exit status is non-zero on
-   any obligation finding or wrong guest exit code; with --json, stdout
-   carries one counter object per workload/level pair plus a summary
-   line for the CI artifact, and findings go to stderr. *)
-
-let analyze_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one counter object per workload/level pair plus a summary line as \
-                 JSON on stdout; obligation findings go to stderr.")
+  let level =
+    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
+           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
   in
   let run json workload level =
     let config =
-      { Captive.Engine.default_config with Captive.Engine.analyze_translations = true }
+      { Captive.Engine.default_config with
+        Captive.Engine.validate_translations = true;
+        analyze_translations = true;
+        reloc_check = true;
+      }
     in
-    checker_sweep ~cmd:"analyze" ~doing:"translate-time obligation checking" ~width:20 ~config
-      ~json ~workload ~level (fun summary e ->
-        let s = e.Captive.Engine.stats in
-        let nb = s.Captive.Engine.blocks_analyzed in
-        let nr = s.Captive.Engine.regions_analyzed in
-        let nf = s.Captive.Engine.obligation_findings in
-        Counters.bump summary "programs analyzed" ~by:(nb + nr);
-        Counters.bump summary "blocks analyzed" ~by:nb;
-        Counters.bump summary "regions analyzed" ~by:nr;
-        Counters.bump summary "obligation findings" ~by:nf;
-        Counters.bump summary "absint branches folded" ~by:s.Captive.Engine.absint_branches_folded;
-        Counters.bump summary "absint consts folded" ~by:s.Captive.Engine.absint_consts_folded;
-        Counters.bump summary "absint masks dropped" ~by:s.Captive.Engine.absint_masks_dropped;
-        Counters.bump summary "absint dead deleted" ~by:s.Captive.Engine.absint_dead_deleted;
-        let ms = 1000. *. s.Captive.Engine.t_analyze in
-        let per = ms /. float_of_int (max 1 (nb + nr)) in
-        {
-          sr_findings = nf;
-          sr_log = e.Captive.Engine.analysis_log;
-          sr_json =
-            Printf.sprintf
-              "\"blocks_analyzed\":%d,\"regions_analyzed\":%d,\"findings\":%d,\"branches_folded\":%d,\"consts_folded\":%d,\"masks_dropped\":%d,\"dead_deleted\":%d,\"analyze_ms\":%.1f,\"ms_per_program\":%.3f"
-              nb nr nf s.Captive.Engine.absint_branches_folded
-              s.Captive.Engine.absint_consts_folded s.Captive.Engine.absint_masks_dropped
-              s.Captive.Engine.absint_dead_deleted ms per;
-          sr_human =
-            Printf.sprintf
-              "%5d blocks + %3d regions analyzed, %d finding(s), %6.1fms (%.3fms/program)" nb nr
-              nf ms per;
-        })
+    let failures = ref 0 in
+    let summary = Counters.create () in
+    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
+    let shout line = if json then prerr_endline line else print_endline line in
+    let workloads =
+      List.filter (fun (n, _, _) -> workload = "all" || workload = n) (sweep_workloads ())
+    in
+    let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
+    say "check: %d workload(s) x %d level(s) with Equiv validation, Absint obligations and \
+         Reloc certification\n%!"
+      (List.length workloads) (List.length levels);
+    List.iter
+      (fun level ->
+        List.iter
+          (fun (name, program, expected) ->
+            let e, code = boot ~config ~level program in
+            let rows =
+              List.map
+                (fun c -> (checker_name c, checker_row summary e.Captive.Engine.stats c))
+                [ Captive.Jit.Validate; Captive.Jit.Analyze; Captive.Jit.Reloc ]
+            in
+            List.iter (fun (_, (nf, _, _)) -> failures := !failures + nf) rows;
+            List.iter
+              (fun (f : Captive.Jit.finding) ->
+                shout
+                  (Printf.sprintf "  %s O%d %s: %s\n    %s" name level
+                     (checker_name f.Captive.Jit.checker) f.Captive.Jit.what f.Captive.Jit.detail))
+              (Captive.Engine.findings e);
+            if code <> expected then begin
+              incr failures;
+              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
+            end;
+            if json then
+              Printf.printf
+                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,%s}\n"
+                (Dbt_util.Stats.json_string name)
+                level code expected
+                (String.concat ","
+                   (List.map (fun (c, (_, json, _)) -> Printf.sprintf "\"%s\":{%s}" c json) rows))
+            else begin
+              say "%-18s O%d: exit %d (expected %d)\n" name level code expected;
+              List.iter (fun (c, (_, _, human)) -> say "    %-8s %s\n" c human) rows;
+              say "%!"
+            end)
+          workloads)
+      levels;
+    if json then
+      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
+        (List.length workloads * List.length levels)
+        !failures (Counters.to_json summary)
+    else say "\ncheck counters:\n%s" (Counters.report summary);
+    if !failures = 0 then begin
+      if not json then Printf.printf "check: no findings\n";
+      `Ok ()
+    end
+    else `Error (false, Printf.sprintf "check: %d finding(s)" !failures)
   in
   Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"Check translate-time static obligations (register-file bounds, frame bounds, \
-             writeback discipline) on every translation formed while running the ARM and \
-             RISC-V workloads at O1-O4.")
-    Term.(ret (const run $ json $ sweep_workload_arg $ sweep_level_arg))
-
-(* --- relocheck ----------------------------------------------------------------------- *)
-
-(* Relocation-cleanliness sweep (Hostir.Reloc): the same workload matrix
-   as `validate`/`analyze`, run with `reloc_check` enabled.  Every tier-0
-   block and every region unit the engine forms is decoded back from its
-   encoded bytes and classified operand by operand — no absolute host
-   addresses in immediates (abs-host-addr), control leaves only through
-   numbered chain/exit sites (unnumbered-exit), environment-relative
-   references in bounds (env-immediate), helper references by stable
-   symbol id (helper-by-addr) — and audited for encoding determinism:
-   decode -> re-encode must reproduce the byte stream, and re-encoding
-   the allocated instruction stream must too (nondet-encoding).  Clean
-   programs receive the certificate the persistent AOT cache consumes;
-   a single finding at any level is a hard failure, because a flagged
-   translation must never be persisted. *)
-
-let relocheck_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one counter object per workload/level pair plus a summary line as \
-                 JSON on stdout; relocation findings go to stderr.")
-  in
-  let run json workload level =
-    let config = { Captive.Engine.default_config with Captive.Engine.reloc_check = true } in
-    checker_sweep ~cmd:"relocheck" ~doing:"relocation-cleanliness certification" ~width:20
-      ~config ~json ~workload ~level (fun summary e ->
-        let s = e.Captive.Engine.stats in
-        let nb = s.Captive.Engine.blocks_certified in
-        let nr = s.Captive.Engine.regions_certified in
-        let nf = s.Captive.Engine.reloc_findings in
-        Counters.bump summary "programs certified" ~by:(nb + nr);
-        Counters.bump summary "blocks certified" ~by:nb;
-        Counters.bump summary "regions certified" ~by:nr;
-        Counters.bump summary "relocation findings" ~by:nf;
-        let ms = 1000. *. s.Captive.Engine.t_reloc in
-        let per = ms /. float_of_int (max 1 (nb + nr)) in
-        {
-          sr_findings = nf;
-          sr_log = Captive.Engine.reloc_log e;
-          sr_json =
-            Printf.sprintf
-              "\"blocks_certified\":%d,\"regions_certified\":%d,\"findings\":%d,\"relocheck_ms\":%.1f,\"ms_per_program\":%.3f"
-              nb nr nf ms per;
-          sr_human =
-            Printf.sprintf
-              "%5d blocks + %3d regions certified, %d finding(s), %6.1fms (%.3fms/program)" nb nr
-              nf ms per;
-        })
-  in
-  Cmd.v
-    (Cmd.info "relocheck"
-       ~doc:"Certify every translation formed while running the ARM and RISC-V workloads \
-             at O1-O4 relocation-clean (no absolute host addresses, numbered exits only, \
-             environment references in bounds, deterministic encoding).")
-    Term.(ret (const run $ json $ sweep_workload_arg $ sweep_level_arg))
+    (Cmd.info "check"
+       ~doc:"Run the translate-time checkers (Equiv validation, Absint obligations, Reloc \
+             certification) on every translation formed while running the ARM and RISC-V \
+             workloads at O1-O4.")
+    Term.(ret (const run $ json $ workload $ level))
 
 (* --- aot ----------------------------------------------------------------------------- *)
 
@@ -1319,10 +1214,6 @@ let aot_cmd =
            ~doc:"Fail if warm-boot translate cycles exceed this percentage of cold.")
   in
   let run json dir keep max_ratio scale =
-    let scale =
-      if scale <> 1 then scale
-      else try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
-    in
     let root = match dir with Some d -> d | None -> "_captive_aot" in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
@@ -1386,9 +1277,10 @@ let aot_cmd =
                 (Printf.sprintf "aot: %s: %d relocation finding(s)" name
                    sw.Captive.Engine.reloc_findings);
               List.iter
-                (fun (what, detail) ->
-                  shout (Printf.sprintf "  %s %s\n    %s" name what detail))
-                (List.rev (Captive.Engine.reloc_log e_w))
+                (fun (f : Captive.Jit.finding) ->
+                  shout
+                    (Printf.sprintf "  %s %s\n    %s" name f.Captive.Jit.what f.Captive.Jit.detail))
+                (Captive.Engine.findings e_w)
             end
           end;
           if json then
@@ -1576,10 +1468,6 @@ let templates_cmd =
                  no promotion-time pipeline re-translation in the denominator).")
   in
   let run json min_coverage hot_threshold scale =
-    let scale =
-      if scale <> 1 then scale
-      else try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
-    in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
     let config =
@@ -1689,9 +1577,7 @@ let () =
       `Noblank; `P "$(mname) $(b,mmucheck) [$(b,--json)] [$(b,--guard)] [$(b,--every) $(i,N)]";
       `Noblank; `P "$(mname) $(b,stress) [$(b,--json)] [$(b,--seeds) $(i,N)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,bench) [$(b,--quick)] [$(b,--json)] [$(b,--baseline) $(i,FILE)] [$(b,--exact)] [$(b,--domains) $(i,D)]";
-      `Noblank; `P "$(mname) $(b,validate) [$(b,--json)] [$(b,--every) $(i,N)]";
-      `Noblank; `P "$(mname) $(b,analyze) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
-      `Noblank; `P "$(mname) $(b,relocheck) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
+      `Noblank; `P "$(mname) $(b,check) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
       `Noblank; `P "$(mname) $(b,aot) [$(b,--json)] [$(b,--dir) $(i,DIR)] [$(b,--keep)] [$(b,--max-ratio) $(i,PCT)]";
       `Noblank; `P "$(mname) $(b,mine-templates) [$(b,--json)] [$(b,--guest) $(i,GUEST)]";
       `Noblank; `P "$(mname) $(b,templates) [$(b,--json)] [$(b,--min-coverage) $(i,PCT)] [$(b,--hot-threshold) $(i,N)]";
@@ -1701,5 +1587,5 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "captive_run" ~doc ~man)
           [ spec_cmd; simbench_cmd; boot_cmd; info_cmd; ssa_cmd; lint_cmd; mmucheck_cmd;
-            stress_cmd; bench_cmd; validate_cmd; analyze_cmd; relocheck_cmd; aot_cmd;
+            stress_cmd; bench_cmd; check_cmd; aot_cmd;
             mine_templates_cmd; templates_cmd ]))

@@ -125,19 +125,9 @@ type t = {
   uart : Hvm.Device.Uart.state;
   timer : Hvm.Device.Timer.state;
   syscon : Hvm.Device.Syscon.state;
-  (* Optional fault/transition tracing for debugging guest bring-up.
-     Per-engine so a traced run doesn't mute tracing for engines created
-     later in the same process. *)
-  tracing : bool;
-  mutable trace_events : int;
-  (* symbolic translation validation *)
-  mutable validate_tick : int; (* tier-0 sampling counter (validate_every) *)
-  mutable validation_log : (string * string) list; (* (context, detail), capped *)
-  (* static obligation checking *)
-  mutable analysis_log : (string * string) list; (* (context, finding), capped *)
-  (* relocation-cleanliness certification + AOT cache *)
+  (* translate-time checker findings (Equiv, Absint, Reloc), capped *)
+  mutable findings : Jit.finding list;
   aot : Aotcache.t option;
-  mutable reloc_log : (string * string) list; (* (context, finding), capped *)
   (* concurrent JIT *)
   jenv : Jit.jit_env;
   mutable pool : pool option; (* spawned on first enqueue when domains > 1 *)
@@ -146,13 +136,6 @@ type t = {
      report (the template table itself lives in [jenv]) *)
   template_miss : (string, int) Hashtbl.t;
 }
-
-let trace e fmt =
-  if e.tracing && e.trace_events < 400 then begin
-    e.trace_events <- e.trace_events + 1;
-    Printf.eprintf fmt
-  end
-  else Printf.ifprintf stderr fmt
 
 (* --- engine construction ------------------------------------------------------ *)
 
@@ -264,7 +247,6 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
           Machine.set_page_table ctx.Exec.machine ~root:e.roots.(target_as) ~pcid:target_as
             ~keep_tlb:e.config.pcid;
           ctx.Exec.regs.(Dag.as_tag_preg) <- as_tag_value target_as;
-          trace e "SWITCH as=%d pc=%Lx\n%!" target_as ctx.Exec.pc;
           0L);
       cost = 5;
     };
@@ -294,13 +276,8 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
       uart;
       timer;
       syscon;
-      tracing = Sys.getenv_opt "CAPTIVE_TRACE" <> None;
-      trace_events = 0;
-      validate_tick = 0;
-      validation_log = [];
-      analysis_log = [];
+      findings = [];
       aot = Option.map Aotcache.open_dir config.aot_dir;
-      reloc_log = [];
       jenv;
       pool = None;
       stress_prng = Option.map Dbt_util.Prng.create config.stress_seed;
@@ -372,7 +349,7 @@ and invalidate_page e phys_page =
   (* Static-analysis staleness audit: unlike chain edges, there is no
      per-translation analysis state to drop here.  Abstract facts and
      obligation findings are consumed at translate time (counters plus
-     the capped [analysis_log]); helper effect summaries are pure
+     the capped [findings] log); helper effect summaries are pure
      functions of the helper index ([Effects.summarize]); neither is
      keyed by translation, so an invalidated page cannot leave a stale
      fact behind.  A re-translation after SMC re-runs the analyzer from
@@ -404,9 +381,6 @@ and protect_page e phys_page =
   end
 
 and handle_fault (e : t) ctx (access : Machine.access) va ~bits ~value : Exec.fault_response =
-  trace e "FAULT va=%Lx access=%s as=%d ring=%d pc=%Lx tag=%Lx\n%!" va
-    (match access with Machine.Read -> "R" | Machine.Write -> "W" | Machine.Exec -> "X")
-    e.current_as e.machine.Machine.ring ctx.Exec.pc ctx.Exec.regs.(Dag.as_tag_preg);
   let sys = Common.sys_ctx e.guest ctx in
   (* Reconstruct the full guest VA from the masked lower-half address. *)
   let gva = if e.current_as = 1 then Int64.logor va 0xFFFF_8000_0000_0000L else va in
@@ -583,9 +557,7 @@ let install (e : t) ?(members = []) ?async (req : Jit.request) (res : Jit.result
   end
   else begin
     add_stats s res.Jit.r_stats;
-    e.validation_log <- Jit.append_capped e.validation_log res.Jit.r_validation_log;
-    e.analysis_log <- Jit.append_capped e.analysis_log res.Jit.r_analysis_log;
-    e.reloc_log <- Jit.append_capped e.reloc_log res.Jit.r_reloc_log;
+    e.findings <- Jit.append_capped e.findings res.Jit.r_findings;
     (* Translation-side cycle charge: wall-clock cycles the guest pays
        for JIT/AOT work, kept out of guest-visible device time (the
        Machine's virtual-time split) so the guest's observable execution
@@ -654,7 +626,7 @@ let aot_probe (e : t) (req : Jit.request) : Jit.result option =
         | Jit.Mismatch -> first rest
         | Jit.Rejected (d, log) ->
           add_stats e.stats d;
-          e.reloc_log <- Jit.append_capped e.reloc_log log;
+          e.findings <- Jit.append_capped e.findings log;
           first rest)
     in
     first
@@ -665,7 +637,7 @@ let aot_probe (e : t) (req : Jit.request) : Jit.result option =
 
 (* Capture a block request.  The snapshot covers only what decode can
    read: up to the page end or [max_block] instructions. *)
-let block_request (e : t) ~kind ~va ~pa ~el ~mmu_on ~validate : Jit.request =
+let block_request (e : t) ~kind ~va ~pa ~el ~mmu_on : Jit.request =
   let off = Int64.to_int (Int64.logand pa 0xFFFL) in
   {
     Jit.rq_kind = kind;
@@ -677,7 +649,6 @@ let block_request (e : t) ~kind ~va ~pa ~el ~mmu_on ~validate : Jit.request =
     rq_snapshot =
       read_guest_bytes e ~pa ~len:(min (4096 - off) (e.config.max_block * e.guest.Ops.insn_size));
     rq_snap_off = off;
-    rq_validate = validate;
   }
 
 (* Translate the block at [va]/[pa] and install it.  With templates on,
@@ -685,15 +656,7 @@ let block_request (e : t) ~kind ~va ~pa ~el ~mmu_on ~validate : Jit.request =
    the pipeline; [kind = Block] starts at the kind-0 probe.  Block jobs
    run inline on the vCPU. *)
 let translate_block (e : t) ~kind ~va ~pa ~el ~mmu_on : translation =
-  let c = e.config in
-  (* The Equiv sampling verdict: the tick advances once per block the
-     pipeline or the stitcher translates (not undefined stubs, not AOT
-     loads), so a template fallback and its pipeline retry share it. *)
-  let validate =
-    c.validate_translations
-    && (c.validate_every <= 1 || (e.validate_tick + 1) mod c.validate_every = 0)
-  in
-  let req = block_request e ~kind ~va ~pa ~el ~mmu_on ~validate in
+  let req = block_request e ~kind ~va ~pa ~el ~mmu_on in
   let rec attempt (req : Jit.request) =
     let t0 = Jit.now () in
     match aot_probe e req with
@@ -703,10 +666,7 @@ let translate_block (e : t) ~kind ~va ~pa ~el ~mmu_on : translation =
       (req, res)
     | None -> (
       match Jit.run e.jenv req with
-      | res ->
-        if c.validate_translations && res.Jit.r_n_guest > 0 then
-          e.validate_tick <- e.validate_tick + 1;
-        (req, res)
+      | res -> (req, res)
       | exception Jit.Fallback (d, miss) ->
         add_stats e.stats d;
         Option.iter
@@ -830,7 +790,6 @@ let region_request (e : t) ~(head : translation) ~(members : translation list) :
         members;
     rq_snapshot = read_guest_bytes e ~pa:pa_page ~len:4096;
     rq_snap_off = 0;
-    rq_validate = e.config.validate_translations;
   }
 
 (* A region job for the worker pool: the request plus the page
@@ -1052,7 +1011,6 @@ let prepare_as (e : t) va =
     Machine.set_page_table e.machine ~root:e.roots.(target_as) ~pcid:target_as
       ~keep_tlb:e.config.pcid
   end;
-  trace e "PREPARE va=%Lx as=%d\n%!" va target_as;
   e.ctx.Exec.regs.(Dag.as_tag_preg) <- as_tag_value target_as
 
 let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
@@ -1210,7 +1168,8 @@ let exec_cycles (e : t) = Machine.guest_cycles e.machine
    [domains = 1]): translate work the concurrent JIT removed from the
    vCPU's critical path. *)
 let async_jit_cycles (e : t) = e.machine.Machine.async_jit_cycles
-let reloc_log (e : t) = e.reloc_log
+(* Checker findings in discovery order, at most 64 per checker. *)
+let findings (e : t) = e.findings
 let aot_entry_count (e : t) = match e.aot with Some c -> Aotcache.entry_count c | None -> 0
 let cache_keys (e : t) = Codecache.keys e.cache
 let cache_shards (e : t) = Codecache.n_shards e.cache

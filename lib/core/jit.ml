@@ -80,8 +80,7 @@ type kind = Block | Template | Region
 (* Guest-PA site + EL/MMU regime in, encoded program out.  A block
    request has one member and snapshots only what decode can read (up
    to the page end or [max_block] instructions); a region request
-   snapshots the head's whole page (regions never cross a page).
-   [rq_validate] is the vCPU's sampling verdict for Equiv validation. *)
+   snapshots the head's whole page (regions never cross a page). *)
 type request = {
   rq_kind : kind;
   rq_head_va : int64;
@@ -91,10 +90,15 @@ type request = {
   rq_members : member_desc list;
   rq_snapshot : bytes;
   rq_snap_off : int; (* page offset of the snapshot's first byte *)
-  rq_validate : bool;
 }
 
-(* The encoded program plus the stats delta and capped finding logs the
+(* A translate-time checker finding: which checker raised it, the
+   translation it concerns, and the checker's detail. *)
+type checker = Validate | Analyze | Reloc
+
+type finding = { checker : checker; what : string; detail : string }
+
+(* The encoded program plus the stats delta and capped finding log the
    job accumulated, merged on the vCPU at install time.  [r_members]
    are the (VA, guest bytes) spans the unit covers; [r_aot] marks a
    result reloaded from the AOT cache instead of translated. *)
@@ -109,9 +113,7 @@ type result = {
   r_n_exits : int;
   r_members : (int64 * int) array;
   r_stats : phase_stats;
-  r_validation_log : (string * string) list;
-  r_analysis_log : (string * string) list;
-  r_reloc_log : (string * string) list;
+  r_findings : finding list;
 }
 
 (* A template request whose block cannot be stitched: the stats delta
@@ -202,24 +204,34 @@ let equiv_items (je : jit_env) ~el decoded : Equiv.item list =
 
 (* --- checkers: one recorder each ----------------------------------------------- *)
 
-(* Finding logs are capped: counters keep exact totals, the logs keep
-   the first [log_cap] findings in discovery order. *)
+(* The finding log is capped per checker: counters keep exact totals,
+   the log keeps each checker's first [log_cap] findings, all in
+   discovery order. *)
 let log_cap = 64
 
-let append_capped (log : (string * string) list) extra =
-  List.filteri (fun i _ -> i < log_cap) (log @ extra)
+let append_capped (log : finding list) = function
+  | [] -> log
+  | extra ->
+    let kept = [| 0; 0; 0 |] in
+    List.filter
+      (fun f ->
+        let i = match f.checker with Validate -> 0 | Analyze -> 1 | Reloc -> 2 in
+        kept.(i) <- kept.(i) + 1;
+        kept.(i) <= log_cap)
+      (log @ extra)
 
-let log_findings log what to_string findings =
-  log := append_capped !log (List.map (fun f -> (what f, to_string f)) findings)
+let log_findings log checker what to_string findings =
+  log :=
+    append_capped !log (List.map (fun f -> { checker; what = what f; detail = to_string f }) findings)
 
-(* Account one Equiv outcome: counters, plus a capped log of findings
-   (full detail, for the validate subcommand's JSON report). *)
+(* Account one Equiv outcome: counters, plus the capped log of findings
+   (full detail, for the check subcommand's report). *)
 let record_validation ~(s : phase_stats) ~log ~what ~region (r : Equiv.outcome) =
   if region then s.regions_validated <- s.regions_validated + 1
   else s.blocks_validated <- s.blocks_validated + 1;
   if not r.Equiv.complete then s.validations_bounded <- s.validations_bounded + 1;
   s.validation_findings <- s.validation_findings + List.length r.Equiv.findings;
-  log_findings log
+  log_findings log Validate
     (fun (f : Equiv.finding) -> Printf.sprintf "%s: %s" what f.Equiv.f_name)
     (fun (f : Equiv.finding) -> f.Equiv.f_detail)
     r.Equiv.findings
@@ -227,7 +239,7 @@ let record_validation ~(s : phase_stats) ~log ~what ~region (r : Equiv.outcome) 
 (* Static obligation checking of one translation: the pre-allocation
    stream carries the register-file and writeback-discipline
    obligations, the allocated stream the spill-frame bounds.  Counters
-   plus a capped log (for the analyze subcommand's JSON report). *)
+   plus the capped log (for the check subcommand's report). *)
 let record_analysis ~(s : phase_stats) ~log ~what ~region ~promoted ~(pre : Hir.instr array)
     (ra : Regalloc.result) =
   let ta = now () in
@@ -238,13 +250,13 @@ let record_analysis ~(s : phase_stats) ~log ~what ~region ~promoted ~(pre : Hir.
   if region then s.regions_analyzed <- s.regions_analyzed + 1
   else s.blocks_analyzed <- s.blocks_analyzed + 1;
   s.obligation_findings <- s.obligation_findings + List.length findings;
-  log_findings log (fun _ -> what) Hostir.Absint.finding_to_string findings;
+  log_findings log Analyze (fun _ -> what) Hostir.Absint.finding_to_string findings;
   s.t_analyze <- s.t_analyze +. (now () -. ta)
 
 (* Certify one encoded translation relocation-clean (operand/control
    classification + encoding-determinism audit); [Some] carries the
-   certificate the AOT cache persists.  Counters plus a capped log (for
-   the relocheck subcommand). *)
+   certificate the AOT cache persists.  Counters plus the capped log
+   (for the check subcommand's report). *)
 let record_reloc (je : jit_env) ~(s : phase_stats) ~log ~what ~region ~n_exits ~n_slots ?ra
     (code : bytes) : Hostir.Reloc.certificate option =
   let t0 = now () in
@@ -258,7 +270,7 @@ let record_reloc (je : jit_env) ~(s : phase_stats) ~log ~what ~region ~n_exits ~
     else s.blocks_certified <- s.blocks_certified + 1
   | Error fs ->
     s.reloc_findings <- s.reloc_findings + List.length fs;
-    log_findings log (fun _ -> what) Hostir.Reloc.finding_to_string fs);
+    log_findings log Reloc (fun _ -> what) Hostir.Reloc.finding_to_string fs);
   s.t_reloc <- s.t_reloc +. (now () -. t0);
   Result.to_option r
 
@@ -269,8 +281,7 @@ let counted kind (r : result) =
   (match kind with
   | Region ->
     s.regions_formed <- s.regions_formed + 1;
-    s.region_blocks <- s.region_blocks + Array.length r.r_members;
-    s.region_host_instrs <- s.region_host_instrs + r.r_n_host
+    s.region_blocks <- s.region_blocks + Array.length r.r_members
   | Block | Template ->
     s.blocks_translated <- s.blocks_translated + 1;
     s.guest_instrs_translated <- s.guest_instrs_translated + r.r_n_guest;
@@ -286,8 +297,8 @@ let counted kind (r : result) =
 
 (* What a translate step hands the shared tail: the pre-allocation
    stream, its allocation when the step already made one, the promoted
-   register-file offsets, and the Equiv reference check when this
-   request is validated. *)
+   register-file offsets, and the Equiv reference check when validation
+   is on. *)
 type emitted = {
   em_pre : Hir.instr array;
   em_ra : Regalloc.result option;
@@ -389,7 +400,7 @@ let emit_region (je : jit_env) (req : request) (s : phase_stats) : emitted =
   (* Per-member decode record, kept only when validating: enough for
      Equiv to re-create the member/dispatch skeleton. *)
   let member_refs = ref [] in
-  let keep_ref mr = if req.rq_validate then member_refs := mr :: !member_refs in
+  let keep_ref mr = if cfg.validate_translations then member_refs := mr :: !member_refs in
   List.iteri
     (fun mi (md, l) ->
       em.Ssa.Emitter.set_block l;
@@ -518,11 +529,10 @@ let emit_region (je : jit_env) (req : request) (s : phase_stats) : emitted =
     em_ra = Some ra;
     em_promoted = promoted;
     em_n_guest = !n_guest;
-    (* Regions are few and load-bearing: validated whenever validation
-       is on, on the final pre-regalloc stream (region passes,
+    (* Validated on the final pre-regalloc stream (region passes,
        promotion and Wbmap included). *)
     em_check =
-      (if req.rq_validate then
+      (if cfg.validate_translations then
          Some
            (fun opt ->
              Equiv.check_region ~classify:Common.helper_kind ~config
@@ -533,13 +543,13 @@ let emit_region (je : jit_env) (req : request) (s : phase_stats) : emitted =
 (* --- the job ---------------------------------------------------------------------- *)
 
 (* Decode from the snapshot, run the kind's translate step, then the
-   shared tail: sampled Equiv validation, register allocation, Absint
+   shared tail: Equiv validation, register allocation, Absint
    obligations, encode, Reloc certification, unit counters.  Runs on a
    worker domain or inline on the vCPU; reads nothing but [je] and
    [req]. *)
 let run (je : jit_env) (req : request) : result =
   let s = new_phase_stats () in
-  let v_log = ref [] and a_log = ref [] and r_log = ref [] in
+  let log = ref [] in
   let cfg = je.je_config in
   let region = req.rq_kind = Region in
   let em =
@@ -566,7 +576,7 @@ let run (je : jit_env) (req : request) : result =
         em_ra = ra;
         em_promoted = [];
         em_n_guest = List.length decoded;
-        em_check = (if req.rq_validate && not undef then Some check else None);
+        em_check = (if cfg.validate_translations && not undef then Some check else None);
       }
   in
   let what = describe req in
@@ -578,18 +588,17 @@ let run (je : jit_env) (req : request) : result =
       let t2 = now () in
       let ra = Regalloc.run pre in
       s.t_regalloc <- s.t_regalloc +. (now () -. t2);
-      s.dead_marked <- s.dead_marked + ra.Regalloc.n_dead;
       s.spills <- s.spills + ra.Regalloc.n_spilled;
       ra
   in
   (match em.em_check with
   | Some check ->
     let tv = now () in
-    record_validation ~s ~log:v_log ~what ~region (check pre);
+    record_validation ~s ~log ~what ~region (check pre);
     s.t_validate <- s.t_validate +. (now () -. tv)
   | None -> ());
   if cfg.analyze_translations then
-    record_analysis ~s ~log:a_log ~what ~region ~promoted:em.em_promoted ~pre ra;
+    record_analysis ~s ~log ~what ~region ~promoted:em.em_promoted ~pre ra;
   let t3 = now () in
   let code = Encode.encode ra in
   let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
@@ -605,7 +614,7 @@ let run (je : jit_env) (req : request) : result =
      install. *)
   let cert =
     if cfg.reloc_check || cfg.aot_dir <> None then
-      record_reloc je ~s ~log:r_log ~what ~region ~n_exits ~n_slots:ra.Regalloc.n_slots ~ra code
+      record_reloc je ~s ~log ~what ~region ~n_exits ~n_slots:ra.Regalloc.n_slots ~ra code
     else None
   in
   counted req.rq_kind
@@ -620,9 +629,7 @@ let run (je : jit_env) (req : request) : result =
       r_n_exits = n_exits;
       r_members = members;
       r_stats = s;
-      r_validation_log = !v_log;
-      r_analysis_log = !a_log;
-      r_reloc_log = !r_log;
+      r_findings = !log;
     }
 
 (* --- the AOT cache side of a request ------------------------------------------------- *)
@@ -677,7 +684,7 @@ let aot_entry (je : jit_env) (req : request) (res : result) (cert : Hostir.Reloc
 type loaded =
   | Loaded of result
   | Mismatch (* another site's entry: try the next candidate *)
-  | Rejected of phase_stats * (string * string) list (* counted in aot_rejects *)
+  | Rejected of phase_stats * finding list (* counted in aot_rejects *)
 
 (* Turn a candidate cache entry into the result a fresh translation of
    [req] would have produced.  The entry must cover exactly the spans
@@ -725,7 +732,5 @@ let load (je : jit_env) (req : request) (entry : Aotcache.entry) : loaded =
              r_n_exits = e_n_exits;
              r_members = spans;
              r_stats = s;
-             r_validation_log = [];
-             r_analysis_log = [];
-             r_reloc_log = !log;
+             r_findings = !log;
            })

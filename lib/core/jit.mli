@@ -56,11 +56,18 @@ type request = {
   rq_members : member_desc list;
   rq_snapshot : bytes;
   rq_snap_off : int;  (** page offset of the snapshot's first byte *)
-  rq_validate : bool;  (** the vCPU's Equiv sampling verdict *)
 }
 
+(** The translate-time checkers: Equiv validation, Absint obligations
+    and Reloc certification. *)
+type checker = Validate | Analyze | Reloc
+
+(** One checker finding: the translation it concerns and the checker's
+    detail. *)
+type finding = { checker : checker; what : string; detail : string }
+
 (** An encoded, possibly certified unit plus the stats delta and capped
-    finding logs accumulated producing it, merged at install. *)
+    finding log accumulated producing it, merged at install. *)
 type result = {
   r_program : Hostir.Encode.program;
   r_code : bytes;
@@ -72,9 +79,7 @@ type result = {
   r_n_exits : int;
   r_members : (int64 * int) array;  (** (VA, guest bytes) spans the unit covers *)
   r_stats : phase_stats;
-  r_validation_log : (string * string) list;
-  r_analysis_log : (string * string) list;
-  r_reloc_log : (string * string) list;
+  r_findings : finding list;
 }
 
 exception Fallback of phase_stats * string option
@@ -82,10 +87,11 @@ exception Fallback of phase_stats * string option
     and the opcode with no usable template, if one missed. *)
 
 val run : jit_env -> request -> result
-(** Decode, the kind's translate step, then the shared tail: sampled
-    Equiv validation, register allocation, Absint obligations, encode,
-    Reloc certification.  Raises {!Fallback} (template requests) or a
-    writeback-discipline violation from [Verify.check_wb_exn]. *)
+(** Decode, the kind's translate step, then the shared tail: Equiv
+    validation, register allocation, Absint obligations, encode, Reloc
+    certification, each checker as [je_config] turns it on.  Raises
+    {!Fallback} (template requests) or a writeback-discipline violation
+    from [Verify.check_wb_exn]. *)
 
 val head_pa : request -> int64
 val describe : request -> string
@@ -97,7 +103,10 @@ val guest_bytes : request -> (int64 * int) array -> bytes
 (** The snapshot bytes under the given (VA, length) spans, concatenated. *)
 
 val field_of : el:int -> Adl.Decode.decoded -> string -> int64
-val append_capped : (string * string) list -> (string * string) list -> (string * string) list
+
+val append_capped : finding list -> finding list -> finding list
+(** [append_capped log extra] appends [extra] to [log], keeping each
+    checker's first 64 findings, all in discovery order. *)
 
 (** {1 AOT cache} *)
 
@@ -113,7 +122,7 @@ val aot_entry : jit_env -> request -> result -> Hostir.Reloc.certificate -> Aotc
 type loaded =
   | Loaded of result
   | Mismatch  (** another site's entry: try the next candidate *)
-  | Rejected of phase_stats * (string * string) list  (** counted in [aot_rejects] *)
+  | Rejected of phase_stats * finding list  (** counted in [aot_rejects] *)
 
 val load : jit_env -> request -> Aotcache.entry -> loaded
 (** Turn a candidate entry into the result a fresh translation of the

@@ -22,7 +22,6 @@ type config = {
      translation is re-derived as an unoptimized reference emission and
      checked for exit-point equivalence; any finding is a miscompile *)
   validate_translations : bool;
-  validate_every : int; (* validate every Nth tier-0 block (regions: always) *)
   (* static obligation checking (Hostir.Absint): every translation the
      engine produces is analyzed at translate time — register-file
      offsets in-bounds and aligned, spill slots inside the frame,
@@ -72,7 +71,6 @@ let default_config =
     promote = true;
     promote_max_regs = 4;
     validate_translations = false;
-    validate_every = 1;
     analyze_translations = false;
     absint_simplify = true;
     reloc_check = false;
@@ -97,7 +95,6 @@ type phase_stats = {
   mutable guest_instrs_translated : int;
   mutable host_instrs_emitted : int;
   mutable host_bytes_emitted : int;
-  mutable dead_marked : int;
   mutable spills : int;
   mutable blocks_executed : int;
   mutable chain_hits : int;
@@ -106,7 +103,6 @@ type phase_stats = {
   mutable promotions : int; (* tier-0 blocks that crossed the hotness threshold *)
   mutable regions_formed : int; (* multi-block region translations built *)
   mutable region_blocks : int; (* total member blocks across formed regions *)
-  mutable region_host_instrs : int; (* host instrs emitted for region units *)
   mutable region_entries : int; (* dispatches that entered a region unit *)
   mutable region_block_execs : int; (* member blocks executed inside regions *)
   mutable region_dead_stores : int; (* cross-block dead register-file stores removed *)
@@ -173,7 +169,6 @@ let new_phase_stats () =
     guest_instrs_translated = 0;
     host_instrs_emitted = 0;
     host_bytes_emitted = 0;
-    dead_marked = 0;
     spills = 0;
     blocks_executed = 0;
     chain_hits = 0;
@@ -181,7 +176,6 @@ let new_phase_stats () =
     promotions = 0;
     regions_formed = 0;
     region_blocks = 0;
-    region_host_instrs = 0;
     region_entries = 0;
     region_block_execs = 0;
     region_dead_stores = 0;
@@ -238,7 +232,6 @@ let add_stats (dst : phase_stats) (d : phase_stats) =
   dst.guest_instrs_translated <- dst.guest_instrs_translated + d.guest_instrs_translated;
   dst.host_instrs_emitted <- dst.host_instrs_emitted + d.host_instrs_emitted;
   dst.host_bytes_emitted <- dst.host_bytes_emitted + d.host_bytes_emitted;
-  dst.dead_marked <- dst.dead_marked + d.dead_marked;
   dst.spills <- dst.spills + d.spills;
   dst.blocks_executed <- dst.blocks_executed + d.blocks_executed;
   dst.chain_hits <- dst.chain_hits + d.chain_hits;
@@ -246,7 +239,6 @@ let add_stats (dst : phase_stats) (d : phase_stats) =
   dst.promotions <- dst.promotions + d.promotions;
   dst.regions_formed <- dst.regions_formed + d.regions_formed;
   dst.region_blocks <- dst.region_blocks + d.region_blocks;
-  dst.region_host_instrs <- dst.region_host_instrs + d.region_host_instrs;
   dst.region_entries <- dst.region_entries + d.region_entries;
   dst.region_block_execs <- dst.region_block_execs + d.region_block_execs;
   dst.region_dead_stores <- dst.region_dead_stores + d.region_dead_stores;

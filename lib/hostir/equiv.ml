@@ -149,10 +149,6 @@ let region_reference ~config (members : member_ref list) : instr array =
 (* Comparison                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-run timing/size diagnostics for debugging validator cost
-   (EQUIV_DEBUG=1); output goes to stderr. *)
-let debug = lazy (Sys.getenv_opt "EQUIV_DEBUG" <> None)
-
 let lits_str lits =
   String.concat ", "
     (List.map (fun (t, b) -> Printf.sprintf "%s=%b" (S.to_string t) b) lits)
@@ -161,17 +157,9 @@ let pair_str a b = Printf.sprintf "optimized:  %s\n  reference:  %s" a b
 
 let check ?(limits = S.default_limits) ?classify ?(assume_as_hit = true) ~init_pc
     ~(opt : instr array) ~(reference : instr array) () : outcome =
-  let run what prog =
-    let t0 = Sys.time () in
-    let r = S.run ~limits ?classify ~assume_as_hit ~init_pc prog in
-    if Lazy.force debug then
-      Printf.eprintf "equiv: %s %d instrs: steps=%d paths=%d exits=%d complete=%b (%.2fs cpu)\n%!"
-        what (Array.length prog) r.S.o_steps r.S.o_paths (List.length r.S.exits) r.S.complete
-        (Sys.time () -. t0);
-    r
-  in
-  let ro = run "optimized" opt in
-  let rr = run "reference" reference in
+  let run prog = S.run ~limits ?classify ~assume_as_hit ~init_pc prog in
+  let ro = run opt in
+  let rr = run reference in
   let both_complete = ro.S.complete && rr.S.complete in
   let findings = ref [] in
   let add name detail = findings := { f_name = name; f_detail = detail } :: !findings in

@@ -488,9 +488,6 @@ let default_limits =
     max_term_nodes = 4_096;
   }
 
-(* Per-step tracing for debugging validator stalls (SYMEXEC_TRACE=1). *)
-let trace_steps = lazy (Sys.getenv_opt "SYMEXEC_TRACE" <> None)
-
 (* Path abandoned because a state term outgrew [max_term_nodes]. *)
 exception Blowup
 
@@ -709,9 +706,6 @@ let run ?(limits = default_limits) ?(classify = fun _ -> C_clobber) ?(assume_as_
     else if p.p_idx >= n || p.p_idx < 0 then complete := false (* fell off the program *)
     else begin
       incr steps;
-      if Lazy.force trace_steps then
-        Printf.eprintf "symexec: step %d idx %d: %s\n%!" !steps p.p_idx
-          (Hir.to_string prog.(p.p_idx));
       let p = { p with p_steps = p.p_steps + 1 } in
       let next = p.p_idx + 1 in
       let guard t =

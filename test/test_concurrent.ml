@@ -236,13 +236,14 @@ let counters (s : CE.phase_stats) =
   }
 
 let test_block_job_purity () =
-  let e, _ = run_arm_stress cold_config in
+  let e, _ = run_arm_stress { cold_config with CE.validate_translations = true } in
   let tr = find_record e (fun tr -> tr.CE.t_tier = -1 && tr.CE.t_n_guest > 1) in
   let pa, el, mmu_on = tr.CE.t_key in
   List.iter
     (fun (name, kind) ->
-      let req = CE.block_request e ~kind ~va:tr.CE.t_va ~pa ~el ~mmu_on ~validate:true in
+      let req = CE.block_request e ~kind ~va:tr.CE.t_va ~pa ~el ~mmu_on in
       let r1 = J.run e.CE.jenv req in
+      Alcotest.(check int) (name ^ ": validated") 1 r1.J.r_stats.CE.blocks_validated;
       let r2 = J.run e.CE.jenv req in
       let same what (r : J.result) =
         Alcotest.(check bool) (name ^ ": " ^ what ^ ": same code") true (Bytes.equal r1.J.r_code r.J.r_code);

@@ -14,13 +14,17 @@
    - a mini warm-boot determinism check: the ARM MMU-stress workload
      cold then warm against the same cache directory must agree on the
      exit code and guest-visible execution cycles bit-for-bit, with the
-     warm boot translating a fraction of the cold boot's cycles. *)
+     warm boot translating a fraction of the cold boot's cycles;
+   - the typed checker finding log (discovery order, per-checker cap),
+     and the three translate-time checkers running together in one
+     engine exactly as each runs alone. *)
 
 open Hostir
 module Hir = Hostir.Hir
 module R = Reloc
 module AC = Captive.Aotcache
 module CE = Captive.Engine
+module J = Captive.Jit
 module MS = Workloads.Mmu_stress
 module K = Workloads.Kernel
 
@@ -428,6 +432,63 @@ let test_aot_short_guest_span () =
       Alcotest.(check string) "warm uart = cold uart" (CE.uart_output e_cold)
         (CE.uart_output e_warm))
 
+(* --- the checker finding log and the checkers together ------------------------- *)
+
+let finding checker i = { J.checker; what = string_of_int i; detail = "" }
+
+let test_findings_log () =
+  let relocs n = List.init n (finding J.Reloc) in
+  let log = J.append_capped [ finding J.Validate 0 ] (relocs 70) in
+  Alcotest.(check int) "Reloc capped at 64, Validate kept" 65 (List.length log);
+  Alcotest.(check bool) "discovery order" true
+    (log = finding J.Validate 0 :: relocs 64);
+  let log = J.append_capped log [ finding J.Reloc 70; finding J.Analyze 1; finding J.Validate 2 ] in
+  Alcotest.(check bool) "a full checker drops only its own" true
+    (log = (finding J.Validate 0 :: relocs 64) @ [ finding J.Analyze 1; finding J.Validate 2 ])
+
+(* The ARM MMU-stress workload at O4 under one checker configuration. *)
+let boot_checked config =
+  let e = CE.create ~config (Guest_arm.Arm.ops ~opt_level:4 ()) in
+  K.install (K.captive_target e) ~user:(MS.arm_user ());
+  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  (e, code)
+
+(* One engine with Equiv, the Absint obligations and Reloc all on must
+   report what three single-checker engines report, and execute exactly
+   like an unchecked engine. *)
+let test_checkers_together () =
+  let c = CE.default_config in
+  let all, code =
+    boot_checked
+      { c with CE.validate_translations = true; analyze_translations = true; reloc_check = true }
+  in
+  Alcotest.(check int) "exit code" MS.arm_expected_exit code;
+  let same_run what (e, code') =
+    Alcotest.(check int) (what ^ ": exit code") code code';
+    Alcotest.(check int) (what ^ ": cycles") (CE.cycles all) (CE.cycles e);
+    Alcotest.(check int) (what ^ ": exec cycles") (CE.exec_cycles all) (CE.exec_cycles e)
+  in
+  let alone what checker config counters =
+    let e, code' = boot_checked config in
+    same_run what (e, code');
+    Alcotest.(check (list int)) (what ^ ": counters") (counters all.CE.stats) (counters e.CE.stats);
+    let mine e = List.filter (fun f -> f.J.checker = checker) (CE.findings e) in
+    Alcotest.(check bool) (what ^ ": findings") true (mine all = CE.findings e)
+  in
+  alone "validate alone" J.Validate { c with CE.validate_translations = true } (fun s ->
+      [ s.CE.blocks_validated; s.CE.regions_validated; s.CE.validation_findings;
+        s.CE.validations_bounded ]);
+  alone "analyze alone" J.Analyze { c with CE.analyze_translations = true } (fun s ->
+      [ s.CE.blocks_analyzed; s.CE.regions_analyzed; s.CE.obligation_findings;
+        s.CE.absint_branches_folded; s.CE.absint_consts_folded; s.CE.absint_masks_dropped;
+        s.CE.absint_dead_deleted ]);
+  alone "reloc alone" J.Reloc { c with CE.reloc_check = true } (fun s ->
+      [ s.CE.blocks_certified; s.CE.regions_certified; s.CE.reloc_findings ]);
+  Alcotest.(check bool) "every checker ran" true
+    (all.CE.stats.CE.blocks_validated > 0 && all.CE.stats.CE.blocks_analyzed > 0
+   && all.CE.stats.CE.blocks_certified > 0);
+  same_run "unchecked" (boot_checked c)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "reloc",
@@ -446,5 +507,9 @@ let suite =
       Alcotest.test_case "aotcache store/reload" `Quick test_aotcache_store_reload;
       Alcotest.test_case "warm boot determinism" `Slow test_aot_warm_boot;
       Alcotest.test_case "AOT block probe rejects a short guest span" `Quick
-        test_aot_short_guest_span
+        test_aot_short_guest_span;
+      Alcotest.test_case "checker findings log: order and per-checker cap" `Quick
+        test_findings_log;
+      Alcotest.test_case "checkers run together without interfering" `Quick
+        test_checkers_together
     ] )
