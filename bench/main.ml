@@ -9,19 +9,28 @@
 
 module CE = Captive.Engine
 module QE = Qemu_ref.Qemu_engine
-module K = Workloads.Kernel
-module Spec = Workloads.Spec
+module R = Workloads.Runner
+module W = Workloads.Registry
 module Table = Dbt_util.Table
 module Stats = Dbt_util.Stats
 
-let scale = try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
+let scale =
+  match Sys.getenv_opt "BENCH_SCALE" with
+  | None -> 1
+  | Some s -> (
+    match Workloads.Spec.parse_scale s with
+    | Ok n -> n
+    | Error msg ->
+      prerr_endline ("BENCH_SCALE: " ^ msg);
+      exit 2)
+
 let header title = Printf.printf "\n=== %s ===\n\n" title
 
 (* --- shared runners ----------------------------------------------------------- *)
 
 type run_result = {
   cycles : int;
-  exit_code : int;
+  exit : R.exit;
   guest_instrs_exec : int; (* dynamically executed guest instructions *)
   host_per_guest : float; (* emitted host instrs per translated guest instr *)
   bytes_per_guest : float;
@@ -31,62 +40,60 @@ type run_result = {
   block_stats : (int64 * int * int * int * int * int) list;
 }
 
-let exec_guest_instrs stats =
-  List.fold_left (fun acc (_, ng, _, ex, _, _) -> acc + (ng * ex)) 0 stats
-
-let run_captive ?(config = CE.default_config) ?ops user =
-  let guest = match ops with Some o -> o | None -> Guest_arm.Arm.ops () in
-  let e = CE.create ~config guest in
-  K.install (K.captive_target e) ~user;
-  let exit_code = match CE.run ~max_cycles:20_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  let s = e.CE.stats in
-  let bs = CE.block_stats e in
+(* Run [w] at the harness scale on one of the DBT engines. *)
+let run ?opt_level engine w =
+  let o = W.boot ?opt_level ~scale engine w in
+  let host, bytes, guest, blocks_translated, phases, tiers, block_stats =
+    match o.R.handle with
+    | R.Captive_h e ->
+      let s = e.CE.stats in
+      ( s.CE.host_instrs_emitted, s.CE.host_bytes_emitted, s.CE.guest_instrs_translated,
+        s.CE.blocks_translated, (s.CE.t_decode, s.CE.t_translate, s.CE.t_regalloc, s.CE.t_encode),
+        (s.CE.t_template, s.CE.t_tier0, s.CE.t_region), CE.block_stats e )
+    | R.Qemu_h e ->
+      let s = e.QE.stats in
+      ( s.QE.host_instrs_emitted, s.QE.host_bytes_emitted, s.QE.guest_instrs_translated,
+        s.QE.blocks_translated, (s.QE.t_decode, s.QE.t_translate, s.QE.t_regalloc, s.QE.t_encode),
+        (0., 0., 0.) (* the QEMU-style engine has one tier *), QE.block_stats e )
+    | R.Reference_h _ -> invalid_arg "the figures compare the DBT engines"
+  in
+  let per_guest n = float_of_int n /. float_of_int (max 1 guest) in
   {
-    cycles = CE.cycles e;
-    exit_code;
-    guest_instrs_exec = exec_guest_instrs bs;
-    host_per_guest = float_of_int s.CE.host_instrs_emitted /. float_of_int (max 1 s.CE.guest_instrs_translated);
-    bytes_per_guest = float_of_int s.CE.host_bytes_emitted /. float_of_int (max 1 s.CE.guest_instrs_translated);
-    blocks_translated = s.CE.blocks_translated;
-    phases = (s.CE.t_decode, s.CE.t_translate, s.CE.t_regalloc, s.CE.t_encode);
-    tiers = (s.CE.t_template, s.CE.t_tier0, s.CE.t_region);
-    block_stats = bs;
+    cycles = o.R.cycles;
+    exit = o.R.exit;
+    guest_instrs_exec = List.fold_left (fun acc (_, ng, _, ex, _, _) -> acc + (ng * ex)) 0 block_stats;
+    host_per_guest = per_guest host;
+    bytes_per_guest = per_guest bytes;
+    blocks_translated;
+    phases;
+    tiers;
+    block_stats;
   }
 
-let run_qemu ?(config = QE.default_config) user =
-  let guest = Guest_arm.Arm.ops () in
-  let e = QE.create ~config guest in
-  K.install (K.qemu_target e) ~user;
-  let exit_code = match QE.run ~max_cycles:20_000_000_000 e with QE.Poweroff c -> c | _ -> -1 in
-  let s = e.QE.stats in
-  let bs = QE.block_stats e in
-  {
-    cycles = QE.cycles e;
-    exit_code;
-    guest_instrs_exec = exec_guest_instrs bs;
-    host_per_guest = float_of_int s.QE.host_instrs_emitted /. float_of_int (max 1 s.QE.guest_instrs_translated);
-    bytes_per_guest = float_of_int s.QE.host_bytes_emitted /. float_of_int (max 1 s.QE.guest_instrs_translated);
-    blocks_translated = s.QE.blocks_translated;
-    phases = (s.QE.t_decode, s.QE.t_translate, s.QE.t_regalloc, s.QE.t_encode);
-    tiers = (0., 0., 0.); (* the QEMU-style engine has one tier *)
-    block_stats = bs;
-  }
+let captive ?opt_level config = run ?opt_level (R.Captive config)
+
+(* Warn when the engines end a run differently. *)
+let compare_exits name (c : run_result) (q : run_result) =
+  if c.exit <> q.exit then
+    Printf.printf "!! %s: exit codes diverge (captive %s, qemu %s)\n" name
+      (R.exit_to_string c.exit) (R.exit_to_string q.exit)
 
 (* Cache: fig17/18/20/22 share the SPEC runs. *)
 let spec_cache : (string, run_result * run_result) Hashtbl.t = Hashtbl.create 32
 
-let spec_run (b : Spec.benchmark) =
-  match Hashtbl.find_opt spec_cache b.Spec.name with
+let spec_run (w : W.entry) =
+  match Hashtbl.find_opt spec_cache w.W.name with
   | Some r -> r
   | None ->
-    let user = b.Spec.build ~scale in
-    let c = run_captive user in
-    let q = run_qemu user in
-    if c.exit_code <> q.exit_code then
-      Printf.printf "!! %s: exit codes diverge (captive %d, qemu %d)\n" b.Spec.name c.exit_code
-        q.exit_code;
-    Hashtbl.replace spec_cache b.Spec.name (c, q);
+    let c = run R.captive w in
+    let q = run R.qemu w in
+    compare_exits w.W.name c q;
+    Hashtbl.replace spec_cache w.W.name (c, q);
     (c, q)
+
+(* A figure's SPEC proxies, in SPEC-number order. *)
+let spec_entries tags =
+  List.sort (fun (a : W.entry) b -> compare a.W.name b.W.name) (W.select tags)
 
 let seconds cycles = Workloads.Native_model.dbt_seconds cycles
 
@@ -165,24 +172,24 @@ let table5 () =
 
 (* --- Fig 17: SPEC integer --------------------------------------------------------------- *)
 
-let fig_spec ~title benchmarks =
+let fig_spec ~title tag =
   header title;
   let rows = ref [] in
   let speedups = ref [] in
   List.iter
-    (fun (b : Spec.benchmark) ->
-      let c, q = spec_run b in
+    (fun (w : W.entry) ->
+      let c, q = spec_run w in
       let sp = float_of_int q.cycles /. float_of_int c.cycles in
       speedups := sp :: !speedups;
       rows :=
         [
-          b.Spec.name;
+          w.W.name;
           Printf.sprintf "%.3f" (seconds q.cycles);
           Printf.sprintf "%.3f" (seconds c.cycles);
           Table.fmt_speedup sp;
         ]
         :: !rows)
-    benchmarks;
+    (spec_entries [ tag ]);
   Table.print
     ~align:[ Table.Left; Table.Right; Table.Right; Table.Right ]
     ~header:[ "Benchmark"; "QEMU-style (sim s)"; "Captive (sim s)"; "Speed-up" ]
@@ -190,28 +197,29 @@ let fig_spec ~title benchmarks =
   Printf.printf "\nGeometric mean speed-up: %.2fx\n" (Stats.geomean !speedups)
 
 let fig17 () =
-  fig_spec ~title:"Fig 17: SPEC CPU2006 integer (proxy kernels)" Spec.integer_benchmarks
+  fig_spec ~title:"Fig 17: SPEC CPU2006 integer (proxy kernels)" W.Spec_int
 
 let fig18 () =
-  fig_spec ~title:"Fig 18: SPEC CPU2006 C++ floating point (proxy kernels)" Spec.fp_benchmarks
+  fig_spec ~title:"Fig 18: SPEC CPU2006 C++ floating point (proxy kernels)" W.Spec_fp
 
 (* --- Fig 19: SimBench ---------------------------------------------------------------------- *)
 
 let fig19 () =
   header "Fig 19: SimBench micro-benchmarks (speed-up of Captive over QEMU-style)";
-  let results = Simbench.run_all () in
   Table.print
     ~align:[ Table.Left; Table.Right; Table.Right; Table.Right ]
     ~header:[ "Category"; "Captive (kcycles)"; "QEMU-style (kcycles)"; "Speed-up" ]
     (List.map
-       (fun r ->
+       (fun (w : W.entry) ->
+         let c = run R.captive w and q = run R.qemu w in
+         compare_exits w.W.name c q;
          [
-           r.Simbench.bench;
-           string_of_int (r.Simbench.captive_cycles / 1000);
-           string_of_int (r.Simbench.qemu_cycles / 1000);
-           Table.fmt_speedup r.Simbench.speedup;
+           w.W.name;
+           string_of_int (c.cycles / 1000);
+           string_of_int (q.cycles / 1000);
+           Table.fmt_speedup (float_of_int q.cycles /. float_of_int c.cycles);
          ])
-       results);
+       (W.select [ W.Simbench ]));
   print_newline ();
   print_endline
     "Expected shape (paper): large wins on Mem-*, wins on control flow and";
@@ -238,7 +246,7 @@ let fig20 () =
       tt := !tt +. wt;
       t0 := !t0 +. w0;
       tr := !tr +. wr)
-    Spec.integer_benchmarks;
+    (spec_entries [ W.Spec_int ]);
   let total = !d +. !t +. !r +. !en in
   let pct x = Printf.sprintf "%.2f%%" (100. *. x /. total) in
   Table.print
@@ -265,9 +273,9 @@ let fig21 () =
   let hpg = ref (0., 0.) in
   List.iter
     (fun name ->
-      let user = (Spec.find name).Spec.build ~scale in
-      let c = run_captive ~config:{ CE.default_config with CE.chaining = false } user in
-      let q = run_qemu ~config:{ QE.default_config with QE.chaining = false } user in
+      let w = W.find name in
+      let c = captive { CE.default_config with CE.chaining = false } w in
+      let q = run (R.Qemu { QE.default_config with QE.chaining = false }) w in
       hpg := (c.host_per_guest, q.host_per_guest);
       let qtbl = Hashtbl.create 256 in
       List.iter
@@ -310,7 +318,7 @@ let fig22 () =
       total_c := !total_c + c.cycles;
       total_q := !total_q + q.cycles;
       total_gi := !total_gi + c.guest_instrs_exec)
-    Spec.all;
+    (W.select [ W.Spec_int; W.Spec_fp ]);
   let qemu_s = seconds !total_q in
   let captive_s = seconds !total_c in
   let pi_s = Workloads.Native_model.(native_seconds raspberry_pi3 !total_gi) in
@@ -332,7 +340,7 @@ let fig22 () =
 
 let sec34 () =
   header "Sec 3.4: JIT compilation performance (429.mcf)";
-  let c, q = spec_run (Spec.find "429.mcf") in
+  let c, q = spec_run (W.find "429.mcf") in
   let sum (a, b, c', d) = a +. b +. c' +. d in
   let c_per = sum c.phases /. float_of_int (max 1 c.blocks_translated) in
   let q_per = sum q.phases /. float_of_int (max 1 q.blocks_translated) in
@@ -394,12 +402,13 @@ let sec361 () =
 
 let sec362 () =
   header "Sec 3.6.2: FP microbenchmark, hardware FP vs softfloat";
-  let user = (Spec.find "444.namd").Spec.build ~scale in
-  let hw = run_captive user in
-  let sw = run_captive ~config:{ CE.default_config with CE.hw_fp = false } user in
-  let q = run_qemu user in
-  if hw.exit_code <> sw.exit_code then
-    Printf.printf "!! hw/soft FP disagree: %d vs %d\n" hw.exit_code sw.exit_code;
+  let w = W.find "444.namd" in
+  let hw = captive CE.default_config w in
+  let sw = captive { CE.default_config with CE.hw_fp = false } w in
+  let q = run R.qemu w in
+  if hw.exit <> sw.exit then
+    Printf.printf "!! hw/soft FP disagree: %s vs %s\n" (R.exit_to_string hw.exit)
+      (R.exit_to_string sw.exit);
   Table.print
     ~align:[ Table.Left; Table.Right; Table.Right ]
     ~header:[ "Configuration"; "cycles (M)"; "speed-up vs QEMU-style" ]
@@ -424,12 +433,11 @@ let sec362 () =
 
 let ablations () =
   header "Ablations: Captive design-choice studies";
-  let bench = Spec.find "445.gobmk" in
-  let user = bench.Spec.build ~scale in
-  let base = run_captive user in
-  let no_chain = run_captive ~config:{ CE.default_config with CE.chaining = false } user in
-  let no_pcid = run_captive ~config:{ CE.default_config with CE.pcid = false } user in
-  let o1 = run_captive ~ops:(Guest_arm.Arm.ops ~opt_level:1 ()) user in
+  let w = W.find "445.gobmk" in
+  let base = captive CE.default_config w in
+  let no_chain = captive { CE.default_config with CE.chaining = false } w in
+  let no_pcid = captive { CE.default_config with CE.pcid = false } w in
+  let o1 = captive ~opt_level:1 CE.default_config w in
   let row name (r : run_result) =
     [
       name;
@@ -449,14 +457,7 @@ let ablations () =
     ];
   (* The syscall-heavy SimBench category stresses the user/kernel address
      space alternation, where PCIDs matter most. *)
-  let sb = List.find (fun b -> b.Simbench.name = "Syscall") (Simbench.all ()) in
-  let run_cfg config =
-    let guest = Guest_arm.Arm.ops () in
-    let e = CE.create ~config guest in
-    K.install ~enable_timer:false (K.captive_target e) ~user:sb.Simbench.image;
-    (match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff _ -> () | _ -> ());
-    CE.cycles e
-  in
+  let run_cfg config = (W.boot (R.Captive config) (W.find "Syscall")).R.cycles in
   let with_pcid = run_cfg CE.default_config in
   let without = run_cfg { CE.default_config with CE.pcid = false } in
   Printf.printf "\nSyscall microbenchmark: with PCIDs %dk cycles, without %dk (%.2fx)\n"

@@ -12,206 +12,163 @@
      captive_run check --json
      captive_run aot --json
 
-   `spec` runs a SPEC CPU2006 proxy under the mini guest OS, `simbench`
-   one SimBench category on both engines, `boot` a demo user program on
-   the mini-OS, `info` prints the loaded guest models, `ssa` dumps an
-   instruction's optimized SSA (the offline artifact of Fig. 6), `lint`
-   statically verifies the whole offline pipeline (decode tables, SSA
-   after every pass at O1-O4, and post-regalloc HostIR) for every guest
-   model, `mmucheck` runs MMU-stress workloads on both guests with the
-   online shadow-oracle sanitizer (page tables, TLB, frame accounting,
+   Every subcommand that runs guests is a loop over workloads from
+   Workloads.Registry, run through Workloads.Runner on one or more
+   engines and configurations, with one row per run.  `spec` runs a SPEC
+   CPU2006 proxy under the mini guest OS, `simbench` one SimBench
+   category on both engines, `boot` a demo user program on the mini-OS,
+   `info` prints the loaded guest models, `ssa` dumps an instruction's
+   optimized SSA (the offline artifact of Fig. 6), `lint` statically
+   verifies the whole offline pipeline (decode tables, SSA after every
+   pass at O1-O4, and post-regalloc HostIR) for every guest model,
+   `mmucheck` runs the MMU-stress workloads with the online
+   shadow-oracle sanitizer (page tables, TLB, frame accounting,
    code-cache W^X, ring transitions) enabled, `stress` is the
    race-focused lane for the concurrent JIT (seeded drain schedules on
    worker domains, sanitizer + single-domain equivalence as oracles),
    `bench` is the CI perf-regression gate against bench/baseline.json
    (with --exact, the determinism gate: exec/jit cycle bit-identity at
    --domains 1), `check` runs the three translate-time checkers in one
-   pass over every translation formed while booting the ARM and RISC-V
-   workloads at O1-O4 — symbolic equivalence against an unoptimized
-   reference emission (Hostir.Equiv), static obligations
-   (Hostir.Absint) and relocation cleanliness (Hostir.Reloc: no
-   absolute host addresses, numbered exits only, environment references
-   in bounds, deterministic encoding) — and `aot` is the
-   persistent-cache warm-boot gate: each quick-bench workload runs cold
-   then warm against the same on-disk AOT cache, and the warm boot must
-   spend <= 10% of the cold boot's translate cycles with bit-identical
-   guest-visible execution. *)
+   pass over every translation formed while booting the check workloads
+   at O1-O4 — symbolic equivalence against an unoptimized reference
+   emission (Hostir.Equiv), static obligations (Hostir.Absint) and
+   relocation cleanliness (Hostir.Reloc: no absolute host addresses,
+   numbered exits only, environment references in bounds, deterministic
+   encoding) — and `aot` is the persistent-cache warm-boot gate: each
+   quick workload runs cold then warm against the same on-disk AOT
+   cache, and the warm boot must spend <= 10% of the cold boot's
+   translate cycles with bit-identical guest-visible execution.  At
+   scale 1 every gate also checks each run's exit code against the
+   registry. *)
 
 open Cmdliner
-
-type engine_kind = Eng_captive | Eng_qemu | Eng_reference
-
-let engine_conv =
-  let parse = function
-    | "captive" -> Ok Eng_captive
-    | "qemu" -> Ok Eng_qemu
-    | "reference" | "ref" -> Ok Eng_reference
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S (captive|qemu|reference)" s))
-  in
-  let print fmt e =
-    Format.pp_print_string fmt
-      (match e with Eng_captive -> "captive" | Eng_qemu -> "qemu" | Eng_reference -> "reference")
-  in
-  Arg.conv (parse, print)
+module CE = Captive.Engine
+module R = Workloads.Runner
+module W = Workloads.Registry
+module Counters = Dbt_util.Stats.Counters
 
 let engine_arg =
-  Arg.(value & opt engine_conv Eng_captive & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc:"DBT engine: captive, qemu or reference.")
+  (* enum also takes unambiguous prefixes, so "ref" still names the interpreter *)
+  let engines = [ ("captive", R.captive); ("qemu", R.qemu); ("reference", R.Reference) ] in
+  Arg.(value & opt (enum engines) R.captive & info [ "e"; "engine" ] ~docv:"ENGINE"
+         ~doc:"DBT engine: captive, qemu or reference.")
 
 let scale_arg =
-  Arg.(value & opt int 1 & info [ "s"; "scale" ] ~docv:"N" ~doc:"Workload scale factor.")
+  let positive = Arg.conv' (Workloads.Spec.parse_scale, Format.pp_print_int) in
+  Arg.(value & opt positive 1 & info [ "s"; "scale" ] ~docv:"N"
+         ~doc:"Workload scale factor (a positive integer).")
 
-let verbose_stats_captive (e : Captive.Engine.t) =
-  let s = e.Captive.Engine.stats in
-  Printf.printf "cycles: %d\n" (Captive.Engine.cycles e);
-  Printf.printf "blocks: executed %d, translated %d, chain hits %d\n"
-    s.Captive.Engine.blocks_executed s.Captive.Engine.blocks_translated s.Captive.Engine.chain_hits;
+(* A workload-name argument resolved through the registry: an unknown
+   name is a usage error that lists the valid ones. *)
+let workload_conv ws =
+  let names = Arg.enum (List.map (fun n -> (n, n)) (W.names ws)) in
+  Arg.conv
+    ( (fun s -> Result.map W.find (Arg.conv_parser names s)),
+      fun ppf (w : W.entry) -> Format.pp_print_string ppf w.W.name )
+
+(* The guest models a model-wide subcommand covers: one, or all. *)
+let guests_arg names what =
+  let both = [ R.Arm; R.Riscv ] in
+  let guests = [ ("all", both); ("armv8-a", [ R.Arm ]); ("rv64im", [ R.Riscv ]) ] in
+  Arg.(value & opt (enum guests) both & info names ~docv:"GUEST"
+         ~doc:(Printf.sprintf "Guest model to %s: armv8-a, rv64im or all." what))
+
+(* In JSON mode stdout carries only JSON: progress is dropped and gate
+   messages go to stderr. *)
+let say json fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt
+let shout json line = if json then prerr_endline line else print_endline line
+
+let verdict what failures =
+  if failures = 0 then `Ok () else `Error (false, Printf.sprintf "%s: %d failure(s)" what failures)
+
+let verbose_stats_captive (e : CE.t) =
+  let s = e.CE.stats in
+  Printf.printf "cycles: %d\n" (CE.cycles e);
+  Printf.printf "blocks: executed %d, translated %d, chain hits %d\n" s.CE.blocks_executed
+    s.CE.blocks_translated s.CE.chain_hits;
   Printf.printf "guest instrs translated: %d -> host instrs %d (%.1f/guest), %d bytes\n"
-    s.Captive.Engine.guest_instrs_translated s.Captive.Engine.host_instrs_emitted
-    (float_of_int s.Captive.Engine.host_instrs_emitted
-    /. float_of_int (max 1 s.Captive.Engine.guest_instrs_translated))
-    s.Captive.Engine.host_bytes_emitted;
+    s.CE.guest_instrs_translated s.CE.host_instrs_emitted
+    (float_of_int s.CE.host_instrs_emitted /. float_of_int (max 1 s.CE.guest_instrs_translated))
+    s.CE.host_bytes_emitted;
   Printf.printf "host page faults: %d, SMC invalidations: %d\n"
-    e.Captive.Engine.machine.Hvm.Machine.faults s.Captive.Engine.smc_invalidations;
+    e.CE.machine.Hvm.Machine.faults s.CE.smc_invalidations;
   Printf.printf "JIT wall time: decode %.1fms translate %.1fms regalloc %.1fms encode %.1fms\n"
-    (1000. *. s.Captive.Engine.t_decode) (1000. *. s.Captive.Engine.t_translate)
-    (1000. *. s.Captive.Engine.t_regalloc) (1000. *. s.Captive.Engine.t_encode);
-  if s.Captive.Engine.template_blocks > 0 then
+    (1000. *. s.CE.t_decode) (1000. *. s.CE.t_translate) (1000. *. s.CE.t_regalloc)
+    (1000. *. s.CE.t_encode);
+  if s.CE.template_blocks > 0 then
     Printf.printf
       "template tier: %d blocks (%d instrs) stitched, %d mined, %d misses; translate cycles \
        %d template / %d pipeline\n"
-      s.Captive.Engine.template_blocks s.Captive.Engine.template_instrs
-      s.Captive.Engine.templates_mined s.Captive.Engine.template_misses
-      s.Captive.Engine.translate_cycles_template s.Captive.Engine.translate_cycles_pipeline
+      s.CE.template_blocks s.CE.template_instrs s.CE.templates_mined s.CE.template_misses
+      s.CE.translate_cycles_template s.CE.translate_cycles_pipeline
 
-let run_user ~engine ~user =
-  let guest = Guest_arm.Arm.ops () in
-  match engine with
-  | Eng_captive ->
-    let e = Captive.Engine.create guest in
-    Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-    let code =
-      match Captive.Engine.run ~max_cycles:50_000_000_000 e with
-      | Captive.Engine.Poweroff c -> c
-      | _ -> -1
-    in
-    print_string (Captive.Engine.uart_output e);
-    Printf.printf "exit code: %d\n" code;
+let run_workload engine ~scale w =
+  let o = W.boot ~scale engine w in
+  print_string o.R.uart;
+  let exit = R.exit_to_string o.R.exit in
+  match o.R.handle with
+  | R.Captive_h e ->
+    Printf.printf "exit code: %s\n" exit;
     verbose_stats_captive e
-  | Eng_qemu ->
-    let e = Qemu_ref.Qemu_engine.create guest in
-    Workloads.Kernel.install (Workloads.Kernel.qemu_target e) ~user;
-    let code =
-      match Qemu_ref.Qemu_engine.run ~max_cycles:50_000_000_000 e with
-      | Qemu_ref.Qemu_engine.Poweroff c -> c
-      | _ -> -1
-    in
-    print_string (Qemu_ref.Qemu_engine.uart_output e);
-    Printf.printf "exit code: %d\ncycles: %d\n" code (Qemu_ref.Qemu_engine.cycles e)
-  | Eng_reference ->
-    let r = Captive.Reference.create guest in
-    Workloads.Kernel.install (Workloads.Kernel.reference_target r) ~user;
-    let code =
-      match Captive.Reference.run ~max_instrs:500_000_000 r with
-      | Captive.Reference.Poweroff c -> c
-      | _ -> -1
-    in
-    print_string (Captive.Reference.uart_output r);
-    Printf.printf "exit code: %d (interpreted %d instructions)\n" code r.Captive.Reference.instrs_executed
+  | R.Qemu_h _ -> Printf.printf "exit code: %s\ncycles: %d\n" exit o.R.cycles
+  | R.Reference_h r ->
+    Printf.printf "exit code: %s (interpreted %d instructions)\n" exit
+      r.Captive.Reference.instrs_executed
 
 (* --- spec ------------------------------------------------------------------- *)
 
-let spec_names = List.map (fun b -> b.Workloads.Spec.name) Workloads.Spec.all
-
 let spec_cmd =
+  let specs = W.select [ W.Spec_int; W.Spec_fp ] in
   let bench =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK"
-           ~doc:(Printf.sprintf "One of: %s" (String.concat ", " spec_names)))
+    Arg.(required & pos 0 (some (workload_conv specs)) None & info [] ~docv:"BENCHMARK"
+           ~doc:(Printf.sprintf "One of: %s" (String.concat ", " (W.names specs))))
   in
-  let run name engine scale =
-    match List.find_opt (fun b -> b.Workloads.Spec.name = name) Workloads.Spec.all with
-    | None -> `Error (false, Printf.sprintf "unknown benchmark %S" name)
-    | Some b ->
-      run_user ~engine ~user:(b.Workloads.Spec.build ~scale);
-      `Ok ()
-  in
+  let run w engine scale = run_workload engine ~scale w in
   Cmd.v (Cmd.info "spec" ~doc:"Run a SPEC CPU2006 proxy under the mini guest OS.")
-    Term.(ret (const run $ bench $ engine_arg $ scale_arg))
+    Term.(const run $ bench $ engine_arg $ scale_arg)
 
 (* --- simbench ------------------------------------------------------------------ *)
 
 let simbench_cmd =
   let which = Arg.(value & pos 0 (some string) None & info [] ~docv:"CATEGORY") in
   let run which =
-    let benches = Simbench.all () in
     let selected =
-      match which with
-      | None -> benches
-      | Some n -> List.filter (fun b -> String.lowercase_ascii b.Simbench.name = String.lowercase_ascii n) benches
+      List.filter
+        (fun (w : W.entry) ->
+          match which with
+          | None -> true
+          | Some n -> String.lowercase_ascii w.W.name = String.lowercase_ascii n)
+        (W.select [ W.Simbench ])
     in
-    if selected = [] then `Error (false, "unknown SimBench category")
-    else begin
-      List.iter
-        (fun b ->
-          let r = Simbench.run_one b in
-          Printf.printf "%-20s captive %8dk  qemu %8dk  speed-up %.2fx\n%!" r.Simbench.bench
-            (r.Simbench.captive_cycles / 1000) (r.Simbench.qemu_cycles / 1000) r.Simbench.speedup)
-        selected;
-      `Ok ()
-    end
+    let failures = ref 0 in
+    List.iter
+      (fun (w : W.entry) ->
+        let c = W.boot R.captive w and q = W.boot R.qemu w in
+        Printf.printf "%-20s captive %8dk  qemu %8dk  speed-up %.2fx\n%!" w.W.name
+          (c.R.cycles / 1000) (q.R.cycles / 1000)
+          (float_of_int q.R.cycles /. float_of_int c.R.cycles);
+        List.iter
+          (fun (engine, (o : R.outcome)) ->
+            if not (W.exit_ok ~scale:1 w o.R.exit) then begin
+              incr failures;
+              Printf.eprintf "simbench: %s: %s exited %s\n" w.W.name engine
+                (R.exit_to_string o.R.exit)
+            end)
+          [ ("captive", c); ("qemu", q) ])
+      selected;
+    match selected with
+    | [] -> `Error (false, "unknown SimBench category")
+    | _ -> verdict "simbench" !failures
   in
   Cmd.v (Cmd.info "simbench" ~doc:"Run SimBench categories on both engines.")
     Term.(ret (const run $ which))
 
 (* --- boot ----------------------------------------------------------------------- *)
 
-let demo_user () =
-  let a = Guest_arm.Arm_asm.create ~base:Workloads.Kernel.user_va () in
-  String.iter
-    (fun ch ->
-      Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x0 (Char.code ch);
-      Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x8 1;
-      Guest_arm.Arm_asm.svc a 0)
-    "captive mini-OS: up at EL0 with paging, syscalls and a timer\n";
-  Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x0 0;
-  Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x8 0;
-  Guest_arm.Arm_asm.svc a 0;
-  Guest_arm.Arm_asm.assemble a
-
 let boot_cmd =
-  let run engine = run_user ~engine ~user:(demo_user ()) in
+  let run engine = run_workload engine ~scale:1 (W.find "armv8-a-boot") in
   Cmd.v (Cmd.info "boot" ~doc:"Boot the mini guest OS with a demo user program.")
     Term.(const run $ engine_arg)
-
-(* The guest programs the checking subcommands boot on Captive: a user
-   program under the ARM mini-OS, or the bare-metal RISC-V MMU-stress
-   image. *)
-type program = Arm_user of bytes | Riscv_mmu
-
-let exit_of = function
-  | Captive.Engine.Poweroff c -> c
-  | Captive.Engine.Cycle_limit -> -2
-  | Captive.Engine.Block_limit -> -3
-
-(* Create an engine for [program] (guest models at offline level
-   [level]), run it to power-off or [max_cycles], and stop its JIT
-   workers; returns the engine and the guest exit code. *)
-let boot ?(config = Captive.Engine.default_config) ?level ?(max_cycles = 2_000_000_000) program =
-  let e =
-    match program with
-    | Arm_user user ->
-      let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ?opt_level:level ()) in
-      Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-      e
-    | Riscv_mmu ->
-      let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ?opt_level:level ()) in
-      Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-        (Workloads.Mmu_stress.riscv_image ());
-      Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-      e
-  in
-  Fun.protect
-    ~finally:(fun () -> Captive.Engine.shutdown e)
-    (fun () -> (e, exit_of (Captive.Engine.run ~max_cycles e)))
 
 (* --- info ------------------------------------------------------------------------- *)
 
@@ -225,7 +182,7 @@ let info_cmd =
           (List.length m.Ssa.Offline.arch.Adl.Ast.a_decodes)
           (List.length m.Ssa.Offline.arch.Adl.Ast.a_executes)
           (Ssa.Offline.total_size m))
-      [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
+      [ R.ops R.Arm; R.ops R.Riscv ]
   in
   Cmd.v (Cmd.info "info" ~doc:"Describe the available guest models.") Term.(const run $ const ())
 
@@ -280,18 +237,10 @@ let ssa_cmd =
    carries machine-readable counter objects (one per guest plus a
    summary line) for CI trending; violations go to stderr. *)
 
-module Counters = Dbt_util.Stats.Counters
-
 let lint_guest ~json c failures (ops : Guest.Ops.ops) =
   let arch = ops.Guest.Ops.model.Ssa.Offline.arch in
   let gname = ops.Guest.Ops.name in
-  (* Progress chatter is suppressed in JSON mode; violations go to stderr
-     there so stdout stays parseable. *)
-  let say fmt =
-    if json then Printf.ifprintf stdout fmt else Printf.printf fmt
-  in
-  let shout line = if json then prerr_endline line else print_endline line in
-  say "linting %s: %d decode entries, %d execute actions\n%!" gname
+  say json "linting %s: %d decode entries, %d execute actions\n%!" gname
     (List.length arch.Adl.Ast.a_decodes)
     (List.length arch.Adl.Ast.a_executes);
   (* 1. decode table *)
@@ -300,7 +249,7 @@ let lint_guest ~json c failures (ops : Guest.Ops.ops) =
     (fun v ->
       incr failures;
       Counters.bump c "decode-table violations";
-      shout (Printf.sprintf "  %s: %s" gname (Adl.Declint.string_of_violation v)))
+      shout json (Printf.sprintf "  %s: %s" gname (Adl.Declint.string_of_violation v)))
     (Adl.Declint.check_arch arch);
   (* 2. SSA after every pass at O1-O4, then the semantic layer: validate
      the optimized action against its unoptimized twin (statement ids
@@ -330,7 +279,7 @@ let lint_guest ~json c failures (ops : Guest.Ops.ops) =
                 (fun f ->
                   incr failures;
                   Counters.bump c (kind ^ " findings");
-                  shout
+                  shout json
                     (Printf.sprintf "  %s O%d %s: %s" gname level kind
                        (Ssa.Absint.string_of_finding f)))
                 fs
@@ -340,7 +289,7 @@ let lint_guest ~json c failures (ops : Guest.Ops.ops) =
           with Ssa.Verify.Invalid { action = aname; phase; violations } ->
             incr failures;
             Counters.bump c "ssa violations" ~by:(List.length violations);
-            shout
+            shout json
               (Ssa.Verify.report
                  ~action:(Printf.sprintf "%s/%s at O%d" gname aname level)
                  ~phase violations))
@@ -391,30 +340,17 @@ let lint_guest ~json c failures (ops : Guest.Ops.ops) =
         | violations ->
           incr failures;
           Counters.bump c "hostir violations" ~by:(List.length violations);
-          shout (Hostir.Verify.report ~what:(gname ^ "/" ^ aname) violations)))
+          shout json (Hostir.Verify.report ~what:(gname ^ "/" ^ aname) violations)))
     ops.Guest.Ops.model.Ssa.Offline.actions
 
 let lint_cmd =
-  let guest =
-    Arg.(value & opt string "all" & info [ "g"; "guest" ] ~docv:"GUEST"
-           ~doc:"Guest model to lint (armv8-a, rv64im or all).")
-  in
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Emit counters as JSON on stdout (one object per guest plus a \
                  summary line); violations go to stderr.")
   in
-  let run guest json =
-    let guests =
-      match guest with
-      | "all" -> Ok [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
-      | "armv8-a" -> Ok [ Guest_arm.Arm.ops () ]
-      | "rv64im" -> Ok [ Guest_riscv.Riscv.ops () ]
-      | g -> Error (Printf.sprintf "unknown guest %s (expected armv8-a, rv64im or all)" g)
-    in
-    match guests with
-    | Error msg -> `Error (true, msg)
-    | Ok guests ->
+  let run guests json =
+    let guests = List.map (fun g -> R.ops g) guests in
     let summary = Counters.create () in
     let failures = ref 0 in
     List.iter
@@ -431,32 +367,35 @@ let lint_cmd =
       Printf.printf "{\"kind\":\"summary\",\"guests\":%d,\"violations\":%d,\"counters\":%s}\n"
         (List.length guests) !failures (Counters.to_json summary)
     else Printf.printf "\nlint counters:\n%s" (Counters.report summary);
-    if !failures = 0 then begin
-      if not json then print_endline "lint: no violations";
-      `Ok ()
-    end
-    else `Error (false, Printf.sprintf "lint: %d violation site(s)" !failures)
+    if !failures = 0 && not json then print_endline "lint: no violations";
+    verdict "lint" !failures
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically verify decode tables, SSA passes (O1-O4) and HostIR for every guest.")
-    Term.(ret (const run $ guest $ json))
+    Term.(ret (const run $ guests_arg [ "g"; "guest" ] "lint" $ json))
 
 (* --- mmucheck ------------------------------------------------------------------------ *)
 
-(* Online counterpart of `lint`: boot the ARM mini-OS and RISC-V
-   bare-metal MMU-stress workloads with the shadow-oracle sanitizer
-   (Hvm.Sanitize) enabled — checkpointing at every host fault, flush,
-   SMC invalidation and every N translated blocks — and report the
-   per-checker counters.  All five checkers run at every checkpoint:
-   page tables vs. shadow, TLB derivability, frame accounting, code
-   cache W^X/content coherence, and the ring audit.  Exit status is
-   non-zero on any finding or on a wrong guest exit code.
+(* Online counterpart of `lint`: boot the MMU-stress workloads with the
+   shadow-oracle sanitizer (Hvm.Sanitize) enabled — checkpointing at
+   every host fault, flush, SMC invalidation and every
+   [sanitize_every] translated blocks — and report the per-checker
+   counters.  All five checkers run at every checkpoint: page tables vs.
+   shadow, TLB derivability, frame accounting, code cache W^X/content
+   coherence, and the ring audit.  Exit status is non-zero on any
+   finding or on a wrong guest exit code.
 
    --guard reruns the ARM workload with the sanitizer off and asserts
    that cycle counts and exit codes match the sanitized run exactly:
    the sanitizer charges no cycles and perturbs no statistics, so
    sanitizer-off throughput is the engine's unmodified cycle model. *)
+
+(* Sanitizer findings after one final sweep, so even a quiet run ends
+   with a checkpoint. *)
+let sanitizer_findings e =
+  CE.sanitize_check e ~reason:"final";
+  match e.CE.sanitizer with Some s -> Hvm.Sanitize.findings s | None -> []
 
 let mmucheck_cmd =
   let json =
@@ -469,86 +408,68 @@ let mmucheck_cmd =
            ~doc:"Also rerun the ARM workload with the sanitizer off and assert identical \
                  cycle counts and exit code (the sanitizer is observation-free).")
   in
-  let every =
-    Arg.(value & opt int 32 & info [ "every" ] ~docv:"N"
-           ~doc:"Extra periodic checkpoint every N translated blocks.")
-  in
-  let run json guard every =
+  let run json guard =
     let failures = ref 0 in
     let summary = Counters.create () in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    let config =
-      { Captive.Engine.default_config with Captive.Engine.sanitize = true; sanitize_every = every }
+    let fail line = incr failures; shout json line in
+    let boot ~sanitize w = W.boot (R.Captive { CE.default_config with CE.sanitize }) w in
+    let workloads = W.select [ W.Mmu_stress ] in
+    let runs =
+      List.map
+        (fun (w : W.entry) ->
+          say json "mmucheck: %s under the shadow-oracle sanitizer\n%!" w.W.name;
+          let o = boot ~sanitize:true w in
+          let e = R.captive_of o in
+          let fnd = sanitizer_findings e in
+          List.iter
+            (fun f -> fail (Printf.sprintf "  %s: %s" w.W.name (Hvm.Sanitize.string_of_finding f)))
+            fnd;
+          let exit = R.exit_to_string o.R.exit in
+          if not (W.exit_ok ~scale:1 w o.R.exit) then
+            fail (Printf.sprintf "  %s: exit code %s, expected %d" w.W.name exit w.W.expected);
+          let c = Hvm.Sanitize.counters (Option.get e.CE.sanitizer) in
+          List.iter (fun (n, v) -> Counters.bump summary n ~by:v) (Counters.to_list c);
+          if json then
+            Printf.printf
+              "{\"kind\":\"workload\",\"name\":%s,\"exit\":%s,\"expected\":%d,\"findings\":%d,\"counters\":%s}\n"
+              (Dbt_util.Stats.json_string w.W.name) (R.exit_json o.R.exit) w.W.expected
+              (List.length fnd) (Counters.to_json c)
+          else
+            say json "%s: exit %s (expected %d), %d finding(s)\n%s\n" w.W.name exit w.W.expected
+              (List.length fnd) (Counters.report c);
+          (w, o))
+        workloads
     in
-    let run_arm ~sanitize () =
-      boot ~config:{ config with Captive.Engine.sanitize } (Arm_user (Workloads.Mmu_stress.arm_user ()))
-    in
-    let report name (e : Captive.Engine.t) ~code ~expected =
-      (* One final sweep so even a quiet run ends with a checkpoint. *)
-      Captive.Engine.sanitize_check e ~reason:"final";
-      match e.Captive.Engine.sanitizer with
-      | None -> ()
-      | Some s ->
-        let fnd = Hvm.Sanitize.findings s in
-        List.iter
-          (fun f ->
-            incr failures;
-            shout (Printf.sprintf "  %s: %s" name (Hvm.Sanitize.string_of_finding f)))
-          fnd;
-        if code <> expected then begin
-          incr failures;
-          shout (Printf.sprintf "  %s: exit code %d, expected %d" name code expected)
-        end;
-        let c = Hvm.Sanitize.counters s in
-        List.iter (fun (n, v) -> Counters.bump summary n ~by:v) (Counters.to_list c);
-        if json then
-          Printf.printf
-            "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"expected\":%d,\"findings\":%d,\"counters\":%s}\n"
-            (Dbt_util.Stats.json_string name) code expected (List.length fnd) (Counters.to_json c)
-        else
-          say "%s: exit %d (expected %d), %d finding(s)\n%s\n" name code expected
-            (List.length fnd) (Counters.report c)
-    in
-    say "mmucheck: armv8-a mini-OS MMU stress under the shadow-oracle sanitizer\n%!";
-    let e_arm, code_arm = run_arm ~sanitize:true () in
-    report "armv8-a" e_arm ~code:code_arm ~expected:Workloads.Mmu_stress.arm_expected_exit;
-    say "mmucheck: rv64im MMU stress under the shadow-oracle sanitizer\n%!";
-    let e_rv, code_rv = boot ~config Riscv_mmu in
-    report "rv64im" e_rv ~code:code_rv ~expected:Workloads.Mmu_stress.riscv_expected_exit;
     if guard then begin
-      let e_off, code_off = run_arm ~sanitize:false () in
-      let cy_off = Captive.Engine.cycles e_off and cy_on = Captive.Engine.cycles e_arm in
-      let ok = code_off = code_arm && cy_off = cy_on in
-      if not ok then begin
-        incr failures;
-        shout
+      let w, on = List.find (fun ((w : W.entry), _) -> w.W.guest = R.Arm) runs in
+      let off = boot ~sanitize:false w in
+      let ok = off.R.exit = on.R.exit && off.R.cycles = on.R.cycles in
+      let x_off = R.exit_json off.R.exit and x_on = R.exit_json on.R.exit in
+      if not ok then
+        fail
           (Printf.sprintf
-             "  guard: sanitizer perturbs execution (off: exit %d, %d cycles; on: exit %d, %d cycles)"
-             code_off cy_off code_arm cy_on)
-      end;
+             "  guard: sanitizer perturbs execution (off: exit %s, %d cycles; on: exit %s, %d cycles)"
+             x_off off.R.cycles x_on on.R.cycles);
       if json then
         Printf.printf
-          "{\"kind\":\"guard\",\"cycles_off\":%d,\"cycles_on\":%d,\"exit_off\":%d,\"exit_on\":%d,\"ok\":%b}\n"
-          cy_off cy_on code_off code_arm ok
+          "{\"kind\":\"guard\",\"cycles_off\":%d,\"cycles_on\":%d,\"exit_off\":%s,\"exit_on\":%s,\"ok\":%b}\n"
+          off.R.cycles on.R.cycles x_off x_on ok
       else
-        say "guard: sanitizer-off cycles %d, sanitizer-on cycles %d: %s\n" cy_off cy_on
+        say json "guard: sanitizer-off cycles %d, sanitizer-on cycles %d: %s\n" off.R.cycles
+          on.R.cycles
           (if ok then "identical" else "MISMATCH")
     end;
     if json then
-      Printf.printf "{\"kind\":\"summary\",\"workloads\":2,\"findings\":%d,\"counters\":%s}\n"
-        !failures (Counters.to_json summary)
-    else say "\nmmucheck counters:\n%s" (Counters.report summary);
-    if !failures = 0 then begin
-      if not json then print_endline "mmucheck: no findings";
-      `Ok ()
-    end
-    else `Error (false, Printf.sprintf "mmucheck: %d finding(s)" !failures)
+      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"findings\":%d,\"counters\":%s}\n"
+        (List.length workloads) !failures (Counters.to_json summary)
+    else say json "\nmmucheck counters:\n%s" (Counters.report summary);
+    if !failures = 0 && not json then print_endline "mmucheck: no findings";
+    verdict "mmucheck" !failures
   in
   Cmd.v
     (Cmd.info "mmucheck"
        ~doc:"Run the ARM and RISC-V MMU-stress workloads under the shadow-oracle sanitizer.")
-    Term.(ret (const run $ json $ guard $ every))
+    Term.(ret (const run $ json $ guard))
 
 (* --- stress -------------------------------------------------------------------------- *)
 
@@ -584,101 +505,65 @@ let stress_cmd =
     else if domains < 2 then `Error (true, "--domains must be >= 2")
     else begin
       let failures = ref 0 in
-      let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-      let shout line = if json then prerr_endline line else print_endline line in
+      let fail line = incr failures; shout json line in
       (* Hot threshold 4: the stress workloads cross it early and often,
          so the job queue, the install path and SMC cancellation all see
          real traffic. *)
       let base_config =
-        { Captive.Engine.default_config with
-          Captive.Engine.sanitize = true;
-          sanitize_every = 32;
-          hot_threshold = 4;
-        }
+        { CE.default_config with CE.sanitize = true; hot_threshold = 4 }
       in
-      let run_one ~config kind =
-        let e, code =
-          boot ~config
-            (match kind with
-            | `Arm -> Arm_user (Workloads.Mmu_stress.arm_user ())
-            | `Riscv -> Riscv_mmu)
-        in
-        (* One final sweep so even a quiet run ends with a checkpoint. *)
-        Captive.Engine.sanitize_check e ~reason:"final";
-        (e, code)
-      in
-      let workloads =
-        [ ("armv8-a-mmu", `Arm, Workloads.Mmu_stress.arm_expected_exit);
-          ("rv64im-mmu", `Riscv, Workloads.Mmu_stress.riscv_expected_exit);
-        ]
-      in
-      say "stress: %d workload(s) x %d seed(s) at %d domains (1 vCPU + %d JIT workers)\n%!"
+      let workloads = W.select [ W.Mmu_stress ] in
+      say json "stress: %d workload(s) x %d seed(s) at %d domains (1 vCPU + %d JIT workers)\n%!"
         (List.length workloads) seeds domains (domains - 1);
-      (* Single-domain references: the guest-visible outcome every
-         concurrent run must reproduce. *)
-      let refs =
-        List.map
-          (fun (name, kind, expected) ->
-            let e, code = run_one ~config:base_config kind in
-            if code <> expected then begin
-              incr failures;
-              shout
-                (Printf.sprintf "stress: %s: reference exit %d, expected %d" name code expected)
-            end;
-            (name, (code, Captive.Engine.uart_output e)))
-          workloads
-      in
       let runs = ref 0 in
       List.iter
-        (fun (name, kind, expected) ->
-          let ref_code, ref_uart = List.assoc name refs in
+        (fun (w : W.entry) ->
+          (* The single-domain reference: the guest-visible outcome every
+             concurrent run must reproduce. *)
+          let r = W.boot (R.Captive base_config) w in
+          if not (W.exit_ok ~scale:1 w r.R.exit) then
+            fail
+              (Printf.sprintf "stress: %s: reference exit %s, expected %d" w.W.name
+                 (R.exit_to_string r.R.exit) w.W.expected);
           for seed = 1 to seeds do
             incr runs;
             let config =
-              { base_config with
-                Captive.Engine.domains;
-                stress_seed = Some (Int64.of_int seed);
-              }
+              { base_config with CE.domains; stress_seed = Some (Int64.of_int seed) }
             in
-            let e, code = run_one ~config kind in
-            let s = e.Captive.Engine.stats in
-            let findings =
-              match e.Captive.Engine.sanitizer with
-              | Some sa -> Hvm.Sanitize.findings sa
-              | None -> []
+            let o = W.boot (R.Captive config) w in
+            let e = R.captive_of o in
+            let s = e.CE.stats in
+            let findings = sanitizer_findings e in
+            let uart_ok = String.equal o.R.uart r.R.uart in
+            let ok =
+              findings = [] && o.R.exit = r.R.exit && W.exit_ok ~scale:1 w o.R.exit && uart_ok
             in
-            let uart_ok = String.equal (Captive.Engine.uart_output e) ref_uart in
-            let ok = findings = [] && code = ref_code && code = expected && uart_ok in
+            let exit = R.exit_json o.R.exit and exit_ref = R.exit_json r.R.exit in
             if not ok then begin
-              incr failures;
-              shout
+              fail
                 (Printf.sprintf
-                   "stress: %s seed %d: exit %d (ref %d, expected %d), uart %s, %d sanitizer \
+                   "stress: %s seed %d: exit %s (ref %s, expected %d), uart %s, %d sanitizer \
                     finding(s)"
-                   name seed code ref_code expected
+                   w.W.name seed exit exit_ref w.W.expected
                    (if uart_ok then "ok" else "DIVERGED")
                    (List.length findings));
               List.iter
-                (fun f -> shout (Printf.sprintf "  %s" (Hvm.Sanitize.string_of_finding f)))
+                (fun f -> shout json (Printf.sprintf "  %s" (Hvm.Sanitize.string_of_finding f)))
                 findings
             end;
             if json then
               Printf.printf
-                "{\"kind\":\"run\",\"workload\":%s,\"seed\":%d,\"domains\":%d,\"exit\":%d,\"expected\":%d,\"exit_ref\":%d,\"uart_ok\":%b,\"findings\":%d,\"jobs_enqueued\":%d,\"jobs_completed\":%d,\"jobs_installed\":%d,\"jobs_stale\":%d,\"jobs_cancelled\":%d,\"jobs_dropped\":%d,\"smc_invalidations\":%d,\"async_jit_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"template_blocks\":%d,\"template_misses\":%d,\"ok\":%b}\n"
-                (Dbt_util.Stats.json_string name)
-                seed domains code expected ref_code uart_ok (List.length findings)
-                s.Captive.Engine.jobs_enqueued s.Captive.Engine.jobs_completed
-                s.Captive.Engine.jobs_installed s.Captive.Engine.jobs_stale
-                s.Captive.Engine.jobs_cancelled s.Captive.Engine.jobs_dropped
-                s.Captive.Engine.smc_invalidations
-                (Captive.Engine.async_jit_cycles e)
-                s.Captive.Engine.translate_cycles_template
-                s.Captive.Engine.translate_cycles_pipeline s.Captive.Engine.template_blocks
-                s.Captive.Engine.template_misses ok
+                "{\"kind\":\"run\",\"workload\":%s,\"seed\":%d,\"domains\":%d,\"exit\":%s,\"expected\":%d,\"exit_ref\":%s,\"uart_ok\":%b,\"findings\":%d,\"jobs_enqueued\":%d,\"jobs_completed\":%d,\"jobs_installed\":%d,\"jobs_stale\":%d,\"jobs_cancelled\":%d,\"jobs_dropped\":%d,\"smc_invalidations\":%d,\"async_jit_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"template_blocks\":%d,\"template_misses\":%d,\"ok\":%b}\n"
+                (Dbt_util.Stats.json_string w.W.name)
+                seed domains exit w.W.expected exit_ref uart_ok (List.length findings)
+                s.CE.jobs_enqueued s.CE.jobs_completed s.CE.jobs_installed s.CE.jobs_stale
+                s.CE.jobs_cancelled s.CE.jobs_dropped s.CE.smc_invalidations
+                (CE.async_jit_cycles e) s.CE.translate_cycles_template
+                s.CE.translate_cycles_pipeline s.CE.template_blocks s.CE.template_misses ok
             else
-              say "%-12s seed %3d: exit %3d, jobs %d enq / %d inst / %d stale / %d cancelled%s\n"
-                name seed code s.Captive.Engine.jobs_enqueued s.Captive.Engine.jobs_installed
-                s.Captive.Engine.jobs_stale s.Captive.Engine.jobs_cancelled
+              say json "%-12s seed %3d: exit %3s, jobs %d enq / %d inst / %d stale / %d cancelled%s\n"
+                w.W.name seed exit s.CE.jobs_enqueued s.CE.jobs_installed s.CE.jobs_stale
+                s.CE.jobs_cancelled
                 (if ok then "" else "  FAIL")
           done)
         workloads;
@@ -687,11 +572,10 @@ let stress_cmd =
           "{\"kind\":\"summary\",\"workloads\":%d,\"seeds\":%d,\"domains\":%d,\"runs\":%d,\"failures\":%d,\"gate\":%s}\n"
           (List.length workloads) seeds domains !runs !failures
           (Dbt_util.Stats.json_string (if !failures = 0 then "pass" else "fail"));
-      shout
+      shout json
         (Printf.sprintf "stress: %d run(s) at %d domains: %s" !runs domains
            (if !failures = 0 then "PASS" else "FAIL"));
-      if !failures = 0 then `Ok ()
-      else `Error (false, Printf.sprintf "stress: %d failure(s)" !failures)
+      verdict "stress" !failures
     end
   in
   Cmd.v
@@ -703,122 +587,93 @@ let stress_cmd =
 
 (* --- bench --------------------------------------------------------------------------- *)
 
-(* The CI perf-regression gate.  `bench --quick` runs a handful of
-   loop-heavy SPEC proxies on three engines — Captive with tiering, Captive
+(* The CI perf-regression gate.  `bench --quick` runs the quick
+   workloads on three engines — Captive with tiering, Captive
    tier-0-only, and the QEMU-style reference engine — and emits one flat
    JSON object per workload plus a summary (`--json`), in exactly the
    shape `bench/baseline.json` is committed in.  When a baseline is
    available the verdict gates: the run fails if tiered Captive cycles on
-   any workload regress by more than 5% over the baseline, or if the
-   Captive-vs-QEMU speedup drops below baseline - 5%. *)
+   any workload regress by more than 5% over the baseline, if the
+   Captive-vs-QEMU speedup drops below baseline - 5%, or if a baseline
+   workload was not run at all. *)
 
 module MJ = Dbt_util.Minijson
 
-let bench_quick_names = [ "462.libquantum"; "429.mcf"; "400.perlbench"; "458.sjeng" ]
-let bench_full_names = bench_quick_names @ [ "445.gobmk"; "471.omnetpp"; "483.xalancbmk" ]
-
 type bench_row = {
   br_name : string;
-  br_exit_ok : bool;
+  br_exit_ok : bool; (* engines agree, and at scale 1 on the registry's exit *)
   br_tiered : int; (* tiered Captive cycles *)
   br_untiered : int;
   br_qemu : int;
-  br_speedup : float; (* qemu / tiered captive *)
-  br_gain_pct : float; (* (untiered - tiered) / untiered * 100 *)
-  br_hinstrs : int; (* host instrs interpreted, tiered *)
-  br_hinstrs_u : int; (* host instrs interpreted, tier-0 only *)
-  br_rf_loads : int; (* dynamic register-file loads, tiered *)
-  br_rf_stores : int; (* dynamic register-file stores (incl. writebacks) *)
   br_exec : int; (* guest-execution cycles, tiered (cycles - jit) *)
   br_jit : int; (* total JIT cycles, tiered (sync + async) *)
-  br_async_jit : int; (* JIT cycles charged from worker-domain installs *)
-  br_resident_kb : int; (* guest RAM the tiered run touched (ungated) *)
-  br_stats : Captive.Engine.phase_stats;
+  br_stats : CE.phase_stats; (* tiered *)
+  br_json : string;
 }
-
-let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
-  let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-  let run_captive config = boot ~config ~max_cycles:50_000_000_000 (Arm_user user) in
-  let e_t, code_t =
-    let c = { Captive.Engine.default_config with Captive.Engine.domains } in
-    let c =
-      match hot_threshold with
-      | Some h -> { c with Captive.Engine.hot_threshold = h }
-      | None -> c
-    in
-    run_captive c
-  in
-  let e_u, code_u =
-    run_captive { Captive.Engine.default_config with Captive.Engine.tiering = false }
-  in
-  let cy_u = Captive.Engine.cycles e_u in
-  let e_q = Qemu_ref.Qemu_engine.create (Guest_arm.Arm.ops ()) in
-  Workloads.Kernel.install (Workloads.Kernel.qemu_target e_q) ~user;
-  let code_q =
-    match Qemu_ref.Qemu_engine.run ~max_cycles:50_000_000_000 e_q with
-    | Qemu_ref.Qemu_engine.Poweroff c -> c
-    | _ -> -2
-  in
-  let cy_t = Captive.Engine.cycles e_t and cy_q = Qemu_ref.Qemu_engine.cycles e_q in
-  {
-    br_name = name;
-    br_exit_ok = code_t = code_u && code_t = code_q && code_t >= 0;
-    br_tiered = cy_t;
-    br_untiered = cy_u;
-    br_qemu = cy_q;
-    br_speedup = float_of_int cy_q /. float_of_int (max 1 cy_t);
-    br_gain_pct = 100. *. float_of_int (cy_u - cy_t) /. float_of_int (max 1 cy_u);
-    br_hinstrs = e_t.Captive.Engine.ctx.Hostir.Exec.instrs_executed;
-    br_hinstrs_u = e_u.Captive.Engine.ctx.Hostir.Exec.instrs_executed;
-    br_rf_loads = e_t.Captive.Engine.ctx.Hostir.Exec.rf_loads;
-    br_rf_stores = e_t.Captive.Engine.ctx.Hostir.Exec.rf_stores;
-    br_exec = Captive.Engine.exec_cycles e_t;
-    br_jit = Captive.Engine.jit_cycles e_t;
-    br_async_jit = Captive.Engine.async_jit_cycles e_t;
-    br_resident_kb = 4 * Hvm.Mem.resident_frames e_t.Captive.Engine.machine.Hvm.Machine.mem;
-    br_stats = e_t.Captive.Engine.stats;
-  }
 
 (* translate_cpgi: simulated translate cycles per guest instruction
    translated — the ROADMAP's translation-cost metric, and what the
    template tier and the AOT warm-boot gate drive toward zero. *)
-let bench_cpgi (s : Captive.Engine.phase_stats) =
-  float_of_int s.Captive.Engine.translate_cycles
-  /. float_of_int (max 1 s.Captive.Engine.guest_instrs_translated)
+let bench_cpgi (s : CE.phase_stats) =
+  float_of_int s.CE.translate_cycles /. float_of_int (max 1 s.CE.guest_instrs_translated)
 
-let bench_row_json r =
-  let s = r.br_stats in
-  (* Per-phase translate-time breakdown (milliseconds): lets the CI perf
-     gate's artifact show where translate time went, so a regression in
-     e.g. the analysis phase is attributable from the JSON alone.  The
-     baseline gate itself reads only captive_cycles, speedup and
-     translate_cpgi.  The translate ledger and wall timers are split per
-     tier: template (tier minus one) vs pipeline (tier 0 + regions). *)
+let bench_speedup ~qemu ~tiered = float_of_int qemu /. float_of_int (max 1 tiered)
+let bench_gain_pct ~untiered ~tiered =
+  100. *. float_of_int (untiered - tiered) /. float_of_int (max 1 untiered)
+
+(* Per-phase translate-time breakdown (milliseconds): lets the CI perf
+   gate's artifact show where translate time went, so a regression in
+   e.g. the analysis phase is attributable from the JSON alone.  The
+   baseline gate itself reads only captive_cycles, speedup and
+   translate_cpgi.  The translate ledger and wall timers are split per
+   tier: template (tier minus one) vs pipeline (tier 0 + regions). *)
+let bench_row_json name ~exit_ok (e : CE.t) (u : CE.t) ~qemu =
+  let s = e.CE.stats in
+  let tiered = CE.cycles e and untiered = CE.cycles u in
   let ms t = 1000. *. t in
-  let cpgi = bench_cpgi s in
   Printf.sprintf
     "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f,\"resident_kb\":%d}"
-    (Dbt_util.Stats.json_string r.br_name)
-    r.br_exit_ok r.br_tiered r.br_exec r.br_jit r.br_async_jit r.br_untiered r.br_qemu
-    r.br_speedup r.br_gain_pct r.br_hinstrs
-    r.br_hinstrs_u s.Captive.Engine.promotions s.Captive.Engine.regions_formed
-    s.Captive.Engine.region_blocks s.Captive.Engine.region_entries
-    s.Captive.Engine.region_block_execs s.Captive.Engine.region_dead_stores r.br_rf_loads
-    r.br_rf_stores s.Captive.Engine.rf_promoted s.Captive.Engine.region_wb_entries
-    s.Captive.Engine.absint_branches_folded s.Captive.Engine.absint_consts_folded
-    s.Captive.Engine.absint_masks_dropped s.Captive.Engine.absint_dead_deleted
-    s.Captive.Engine.translate_cycles
-    s.Captive.Engine.translate_cycles_template s.Captive.Engine.translate_cycles_pipeline cpgi
-    s.Captive.Engine.template_blocks s.Captive.Engine.template_instrs
-    s.Captive.Engine.template_misses s.Captive.Engine.template_fallback_blocks
-    s.Captive.Engine.templates_mined
-    (ms s.Captive.Engine.t_decode)
-    (ms s.Captive.Engine.t_translate) (ms s.Captive.Engine.t_template)
-    (ms s.Captive.Engine.t_tier0) (ms s.Captive.Engine.t_region)
-    (ms s.Captive.Engine.t_regalloc)
-    (ms s.Captive.Engine.t_encode) (ms s.Captive.Engine.t_validate)
-    (ms s.Captive.Engine.t_analyze)
-    r.br_resident_kb
+    (Dbt_util.Stats.json_string name)
+    exit_ok tiered (CE.exec_cycles e) (CE.jit_cycles e) (CE.async_jit_cycles e) untiered qemu
+    (bench_speedup ~qemu ~tiered) (bench_gain_pct ~untiered ~tiered)
+    e.CE.ctx.Hostir.Exec.instrs_executed u.CE.ctx.Hostir.Exec.instrs_executed
+    s.CE.promotions s.CE.regions_formed s.CE.region_blocks s.CE.region_entries
+    s.CE.region_block_execs s.CE.region_dead_stores e.CE.ctx.Hostir.Exec.rf_loads
+    e.CE.ctx.Hostir.Exec.rf_stores s.CE.rf_promoted s.CE.region_wb_entries
+    s.CE.absint_branches_folded s.CE.absint_consts_folded s.CE.absint_masks_dropped
+    s.CE.absint_dead_deleted s.CE.translate_cycles s.CE.translate_cycles_template
+    s.CE.translate_cycles_pipeline (bench_cpgi s) s.CE.template_blocks s.CE.template_instrs
+    s.CE.template_misses s.CE.template_fallback_blocks s.CE.templates_mined (ms s.CE.t_decode)
+    (ms s.CE.t_translate) (ms s.CE.t_template) (ms s.CE.t_tier0) (ms s.CE.t_region)
+    (ms s.CE.t_regalloc) (ms s.CE.t_encode) (ms s.CE.t_validate) (ms s.CE.t_analyze)
+    (4 * Hvm.Mem.resident_frames e.CE.machine.Hvm.Machine.mem)
+
+(* One workload on the three engines: tiered Captive (with this run's
+   domains and hot threshold), tier-0-only Captive and the QEMU-style
+   engine. *)
+let bench_run_one ~scale ~domains ?hot_threshold (w : W.entry) : bench_row =
+  let tiered =
+    { CE.default_config with
+      CE.domains;
+      hot_threshold = Option.value hot_threshold ~default:CE.default_config.CE.hot_threshold;
+    }
+  in
+  let t = W.boot ~scale (R.Captive tiered) w in
+  let u = W.boot ~scale (R.Captive { CE.default_config with CE.tiering = false }) w in
+  let q = W.boot ~scale R.qemu w in
+  let e = R.captive_of t in
+  let exit_ok = t.R.exit = u.R.exit && t.R.exit = q.R.exit && W.exit_ok ~scale w t.R.exit in
+  {
+    br_name = w.W.name;
+    br_exit_ok = exit_ok;
+    br_tiered = t.R.cycles;
+    br_untiered = u.R.cycles;
+    br_qemu = q.R.cycles;
+    br_exec = CE.exec_cycles e;
+    br_jit = CE.jit_cycles e;
+    br_stats = e.CE.stats;
+    br_json = bench_row_json w.W.name ~exit_ok e (R.captive_of u) ~qemu:q.R.cycles;
+  }
 
 (* Parse a committed baseline: one flat JSON object per line, keyed by
    "name".  "captive_cycles", "speedup" and "translate_cpgi" (when
@@ -890,32 +745,32 @@ let bench_cmd =
                  uses this to measure pure cold-boot translate cost.")
   in
   let run json quick baseline scale exact domains hot_threshold =
-    let names = if quick then bench_quick_names else bench_full_names in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    say "bench%s: %d workloads at scale %d, %d domain(s) (captive tiered / captive tier-0 / qemu)\n%!"
-      (if quick then " --quick" else "")
-      (List.length names) scale domains;
-    let rows = List.map (bench_run_one ~scale ~domains ?hot_threshold) names in
+    let workloads = W.select [ (if quick then W.Quick else W.Sweep) ] in
     let failures = ref 0 in
+    let fail line = incr failures; shout json line in
+    say json "bench%s: %d workloads at scale %d, %d domain(s) (captive tiered / captive tier-0 / qemu)\n%!"
+      (if quick then " --quick" else "")
+      (List.length workloads) scale domains;
+    let rows = List.map (bench_run_one ~scale ~domains ?hot_threshold) workloads in
+    let speedup r = bench_speedup ~qemu:r.br_qemu ~tiered:r.br_tiered in
     List.iter
       (fun r ->
-        if json then print_endline (bench_row_json r)
+        if json then print_endline r.br_json
         else
-          say "%-16s captive %11d  tier-0 %11d  qemu %11d  speedup %5.2fx  tiered gain %+5.1f%%  (regions %d/%d blocks)%s\n"
-            r.br_name r.br_tiered r.br_untiered r.br_qemu r.br_speedup r.br_gain_pct
-            r.br_stats.Captive.Engine.regions_formed r.br_stats.Captive.Engine.region_blocks
+          say json "%-16s captive %11d  tier-0 %11d  qemu %11d  speedup %5.2fx  tiered gain %+5.1f%%  (regions %d/%d blocks)%s\n"
+            r.br_name r.br_tiered r.br_untiered r.br_qemu (speedup r)
+            (bench_gain_pct ~untiered:r.br_untiered ~tiered:r.br_tiered)
+            r.br_stats.CE.regions_formed r.br_stats.CE.region_blocks
             (if r.br_exit_ok then "" else "  EXIT MISMATCH");
-        if not r.br_exit_ok then begin
-          incr failures;
-          shout (Printf.sprintf "bench: %s: engines disagree on exit code" r.br_name)
-        end)
+        if not r.br_exit_ok then
+          fail
+            (Printf.sprintf "bench: %s: exit codes disagree across engines or with the registry"
+               r.br_name))
       rows;
-    let geomean f =
-      exp (List.fold_left (fun a r -> a +. log (max 1e-9 (f r))) 0. rows
+    let gm_speedup =
+      exp (List.fold_left (fun a r -> a +. log (max 1e-9 (speedup r))) 0. rows
            /. float_of_int (max 1 (List.length rows)))
     in
-    let gm_speedup = geomean (fun r -> r.br_speedup) in
     let baseline_file =
       match baseline with
       | Some f -> f
@@ -924,13 +779,15 @@ let bench_cmd =
     let base = bench_load_baseline baseline_file in
     let gate =
       if base = [] then begin
-        if exact then begin
-          incr failures;
-          shout "bench: --exact requires a baseline with exec_cycles/jit_cycles"
-        end;
+        if exact then fail "bench: --exact requires a baseline with exec_cycles/jit_cycles";
         if exact then "fail" else "no-baseline"
       end
       else begin
+        List.iter
+          (fun (name, _) ->
+            if not (List.exists (fun r -> r.br_name = name) rows) then
+              fail (Printf.sprintf "bench: %s: in the baseline but not run" name))
+          base;
         List.iter
           (fun r ->
             match List.assoc_opt r.br_name base with
@@ -941,48 +798,41 @@ let bench_cmd =
                  like with like; only translate_cpgi (what the override
                  exists to isolate) still gates. *)
               let comparable = hot_threshold = None in
-              if comparable && float_of_int r.br_tiered > bc *. 1.05 then begin
-                incr failures;
-                shout
+              let cpgi = bench_cpgi r.br_stats in
+              if comparable && float_of_int r.br_tiered > bc *. 1.05 then
+                fail
                   (Printf.sprintf
                      "bench: %s: captive cycles regressed >5%% (%d vs baseline %.0f)" r.br_name
-                     r.br_tiered bc)
-              end;
-              if comparable && r.br_speedup < bs *. 0.95 then begin
-                incr failures;
-                shout
+                     r.br_tiered bc);
+              if comparable && speedup r < bs *. 0.95 then
+                fail
                   (Printf.sprintf
                      "bench: %s: captive-vs-qemu speedup %.2fx below baseline %.2fx - 5%%"
-                     r.br_name r.br_speedup bs)
-              end;
+                     r.br_name (speedup r) bs);
+              (* The cold-translate gate: templates must keep the simulated
+                 translate cost per guest instruction from creeping back up. *)
               (match bcpgi with
-              | Some bt when bench_cpgi r.br_stats > bt *. 1.05 ->
-                (* The cold-translate gate: templates must keep the
-                   simulated translate cost per guest instruction from
-                   creeping back up. *)
-                incr failures;
-                shout
+              | Some bt when cpgi > bt *. 1.05 ->
+                fail
                   (Printf.sprintf
                      "bench: %s: translate_cpgi regressed >5%% (%.1f vs baseline %.1f)"
-                     r.br_name (bench_cpgi r.br_stats) bt)
+                     r.br_name cpgi bt)
               | _ -> ());
               if exact then begin
+                let x = r.br_exec and j = r.br_jit in
                 match bxj with
                 | None ->
-                  incr failures;
-                  shout
+                  fail
                     (Printf.sprintf
                        "bench: %s: --exact but baseline has no exec_cycles/jit_cycles"
                        r.br_name)
                 | Some (bx, bj) ->
-                  if float_of_int r.br_exec <> bx || float_of_int r.br_jit <> bj then begin
-                    incr failures;
-                    shout
+                  if float_of_int x <> bx || float_of_int j <> bj then
+                    fail
                       (Printf.sprintf
                          "bench: %s: cycle split not bit-identical to baseline (exec %d vs \
                           %.0f, jit %d vs %.0f)"
-                         r.br_name r.br_exec bx r.br_jit bj)
-                  end
+                         r.br_name x bx j bj)
               end)
           rows;
         if !failures = 0 then "pass" else "fail"
@@ -994,12 +844,11 @@ let bench_cmd =
         (List.length rows) scale gm_speedup
         (Dbt_util.Stats.json_string gate)
         !failures;
-    shout
+    shout json
       (Printf.sprintf "bench: geomean speedup %.2fx over qemu; gate vs %s: %s" gm_speedup
          (if base = [] then "(no baseline)" else baseline_file)
          (String.uppercase_ascii gate));
-    if !failures = 0 then `Ok ()
-    else `Error (false, Printf.sprintf "bench: %d gate failure(s)" !failures)
+    verdict "bench" !failures
   in
   Cmd.v
     (Cmd.info "bench"
@@ -1008,21 +857,7 @@ let bench_cmd =
 
 (* --- check ----------------------------------------------------------------------------- *)
 
-(* The checker sweep's workload matrix: name, program, expected exit
-   code.  The sweep boots every workload at every offline level O1-O4. *)
-let sweep_workloads () =
-  let spec name = Arm_user ((Workloads.Spec.find name).Workloads.Spec.build ~scale:1) in
-  [ ("armv8-a-boot", Arm_user (demo_user ()), 0);
-    ("armv8-a-mmu", Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
-    ("armv8-a-libquantum", spec "462.libquantum", 8);
-    ("armv8-a-mcf", spec "429.mcf", 0);
-    ("armv8-a-perlbench", spec "400.perlbench", 212);
-    ("armv8-a-sjeng", spec "458.sjeng", 35);
-    ("armv8-a-gobmk", spec "445.gobmk", 64);
-    ("armv8-a-omnetpp", spec "471.omnetpp", 220);
-    ("armv8-a-xalancbmk", spec "483.xalancbmk", 0);
-    ("rv64im-mmu", Riscv_mmu, Workloads.Mmu_stress.riscv_expected_exit);
-  ]
+let check_workloads = W.select [ W.Os_boot; W.Mmu_stress; W.Sweep ]
 
 let checker_name = function
   | Captive.Jit.Validate -> "validate"
@@ -1032,26 +867,25 @@ let checker_name = function
 (* What one checker reports for one workload/level run: its finding
    count and its own fields of the JSON and human rows.  Computing it
    also adds the run's counters into the sweep summary. *)
-let checker_row summary (s : Captive.Engine.phase_stats) checker =
-  let module E = Captive.Engine in
+let checker_row summary (s : CE.phase_stats) checker =
   (* (verb, finding kind, timer field, blocks, regions, findings, seconds,
      extra (JSON field, summary counter, value)s) *)
   let verb, kind, timer, nb, nr, nf, t, extra =
     match checker with
     | Captive.Jit.Validate ->
-      ( "validated", "divergence", "validate_ms", s.E.blocks_validated, s.E.regions_validated,
-        s.E.validation_findings, s.E.t_validate,
-        [ ("bounded", "bounded checks", s.E.validations_bounded) ] )
+      ( "validated", "divergence", "validate_ms", s.CE.blocks_validated, s.CE.regions_validated,
+        s.CE.validation_findings, s.CE.t_validate,
+        [ ("bounded", "bounded checks", s.CE.validations_bounded) ] )
     | Captive.Jit.Analyze ->
-      ( "analyzed", "obligation", "analyze_ms", s.E.blocks_analyzed, s.E.regions_analyzed,
-        s.E.obligation_findings, s.E.t_analyze,
-        [ ("branches_folded", "absint branches folded", s.E.absint_branches_folded);
-          ("consts_folded", "absint consts folded", s.E.absint_consts_folded);
-          ("masks_dropped", "absint masks dropped", s.E.absint_masks_dropped);
-          ("dead_deleted", "absint dead deleted", s.E.absint_dead_deleted) ] )
+      ( "analyzed", "obligation", "analyze_ms", s.CE.blocks_analyzed, s.CE.regions_analyzed,
+        s.CE.obligation_findings, s.CE.t_analyze,
+        [ ("branches_folded", "absint branches folded", s.CE.absint_branches_folded);
+          ("consts_folded", "absint consts folded", s.CE.absint_consts_folded);
+          ("masks_dropped", "absint masks dropped", s.CE.absint_masks_dropped);
+          ("dead_deleted", "absint dead deleted", s.CE.absint_dead_deleted) ] )
     | Captive.Jit.Reloc ->
-      ( "certified", "relocation", "relocheck_ms", s.E.blocks_certified, s.E.regions_certified,
-        s.E.reloc_findings, s.E.t_reloc, [] )
+      ( "certified", "relocation", "relocheck_ms", s.CE.blocks_certified, s.CE.regions_certified,
+        s.CE.reloc_findings, s.CE.t_reloc, [] )
   in
   Counters.bump summary ("programs " ^ verb) ~by:(nb + nr);
   Counters.bump summary ("blocks " ^ verb) ~by:nb;
@@ -1073,7 +907,8 @@ let checker_row summary (s : Captive.Engine.phase_stats) checker =
       (String.concat "" (List.map (fun (field, _, n) -> Printf.sprintf ", %s %d" field n) extra))
       ms per )
 
-(* The translate-time checker sweep: boot every workload of the matrix
+(* The translate-time checker sweep: boot every check workload (the
+   mini-OS demo, both MMU-stress images and the Sweep SPECint proxies)
    at every offline level O1-O4 once, with all three checkers on.
    - Equiv (Hostir.Equiv) symbolically executes every tier-0 block and
      every region alongside an unoptimized per-instruction reference
@@ -1101,64 +936,67 @@ let check_cmd =
                  stdout; findings go to stderr.")
   in
   let workload =
-    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
+    Arg.(value & opt (some (workload_conv check_workloads)) None & info [ "w"; "workload" ]
+           ~docv:"NAME"
+           ~doc:(Printf.sprintf "Restrict to one workload (default: all): %s."
+                   (String.concat ", " (W.names check_workloads))))
   in
   let level =
-    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
+    Arg.(value & opt (some (enum [ ("1", 1); ("2", 2); ("3", 3); ("4", 4) ])) None
+         & info [ "l"; "level" ] ~docv:"N"
+             ~doc:"Restrict to one offline optimization level, 1-4 (default: all).")
   in
   let run json workload level =
     let config =
-      { Captive.Engine.default_config with
-        Captive.Engine.validate_translations = true;
+      { CE.default_config with
+        CE.validate_translations = true;
         analyze_translations = true;
         reloc_check = true;
       }
     in
     let failures = ref 0 in
     let summary = Counters.create () in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    let workloads =
-      List.filter (fun (n, _, _) -> workload = "all" || workload = n) (sweep_workloads ())
-    in
-    let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
-    say "check: %d workload(s) x %d level(s) with Equiv validation, Absint obligations and \
-         Reloc certification\n%!"
+    let workloads = match workload with Some w -> [ w ] | None -> check_workloads in
+    let levels = match level with Some l -> [ l ] | None -> [ 1; 2; 3; 4 ] in
+    say json "check: %d workload(s) x %d level(s) with Equiv validation, Absint obligations and \
+              Reloc certification\n%!"
       (List.length workloads) (List.length levels);
     List.iter
       (fun level ->
         List.iter
-          (fun (name, program, expected) ->
-            let e, code = boot ~config ~level program in
+          (fun (w : W.entry) ->
+            let o = W.boot ~opt_level:level (R.Captive config) w in
+            let e = R.captive_of o in
             let rows =
               List.map
-                (fun c -> (checker_name c, checker_row summary e.Captive.Engine.stats c))
+                (fun c -> (checker_name c, checker_row summary e.CE.stats c))
                 [ Captive.Jit.Validate; Captive.Jit.Analyze; Captive.Jit.Reloc ]
             in
             List.iter (fun (_, (nf, _, _)) -> failures := !failures + nf) rows;
             List.iter
               (fun (f : Captive.Jit.finding) ->
-                shout
-                  (Printf.sprintf "  %s O%d %s: %s\n    %s" name level
+                shout json
+                  (Printf.sprintf "  %s O%d %s: %s\n    %s" w.W.name level
                      (checker_name f.Captive.Jit.checker) f.Captive.Jit.what f.Captive.Jit.detail))
-              (Captive.Engine.findings e);
-            if code <> expected then begin
+              (CE.findings e);
+            let exit = R.exit_json o.R.exit in
+            if not (W.exit_ok ~scale:1 w o.R.exit) then begin
               incr failures;
-              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
+              shout json
+                (Printf.sprintf "  %s O%d: exit code %s, expected %d" w.W.name level exit
+                   w.W.expected)
             end;
             if json then
               Printf.printf
-                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,%s}\n"
-                (Dbt_util.Stats.json_string name)
-                level code expected
+                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%s,\"expected\":%d,%s}\n"
+                (Dbt_util.Stats.json_string w.W.name)
+                level exit w.W.expected
                 (String.concat ","
                    (List.map (fun (c, (_, json, _)) -> Printf.sprintf "\"%s\":{%s}" c json) rows))
             else begin
-              say "%-18s O%d: exit %d (expected %d)\n" name level code expected;
-              List.iter (fun (c, (_, _, human)) -> say "    %-8s %s\n" c human) rows;
-              say "%!"
+              say json "%-18s O%d: exit %s (expected %d)\n" w.W.name level exit w.W.expected;
+              List.iter (fun (c, (_, _, human)) -> say json "    %-8s %s\n" c human) rows;
+              say json "%!"
             end)
           workloads)
       levels;
@@ -1166,33 +1004,31 @@ let check_cmd =
       Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
         (List.length workloads * List.length levels)
         !failures (Counters.to_json summary)
-    else say "\ncheck counters:\n%s" (Counters.report summary);
-    if !failures = 0 then begin
-      if not json then Printf.printf "check: no findings\n";
-      `Ok ()
-    end
-    else `Error (false, Printf.sprintf "check: %d finding(s)" !failures)
+    else say json "\ncheck counters:\n%s" (Counters.report summary);
+    if !failures = 0 && not json then print_endline "check: no findings";
+    verdict "check" !failures
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Run the translate-time checkers (Equiv validation, Absint obligations, Reloc \
-             certification) on every translation formed while running the ARM and RISC-V \
-             workloads at O1-O4.")
+             certification) on every translation formed while running the check workloads \
+             at O1-O4.")
     Term.(ret (const run $ json $ workload $ level))
 
 (* --- aot ----------------------------------------------------------------------------- *)
 
-(* Warm-boot gate for the persistent AOT translation cache.  Each
-   quick-bench workload runs twice against the same cache directory: a
-   cold boot that translates everything and persists each certified
-   translation, then a warm boot on a fresh engine that reinstalls the
-   persisted code (guest bytes verified, certificate re-checked) instead
-   of retranslating.  The gate: the warm boot must spend at most
+(* Warm-boot gate for the persistent AOT translation cache.  Each quick
+   workload runs twice against the same cache directory: a cold boot
+   that translates everything and persists each certified translation,
+   then a warm boot on a fresh engine that reinstalls the persisted code
+   (guest bytes verified, certificate re-checked) instead of
+   retranslating.  The gate: the warm boot must spend at most
    --max-ratio (default 10) percent of the cold boot's simulated
    translate cycles, guest-visible execution cycles (total minus
    JIT-charged) must be bit-identical — translation is pure overhead, so
-   where the code came from must be invisible to the guest — exit codes
-   must match, and the warm boot must reject nothing it stored. *)
+   where the code came from must be invisible to the guest — both boots
+   must end with the same exit code (the registry's at scale 1), and the
+   warm boot must reject nothing it stored. *)
 
 let aot_cmd =
   let json =
@@ -1215,8 +1051,6 @@ let aot_cmd =
   in
   let run json dir keep max_ratio scale =
     let root = match dir with Some d -> d | None -> "_captive_aot" in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
     let wipe d =
       if Sys.file_exists d && Sys.is_directory d then
         Array.iter
@@ -1228,104 +1062,99 @@ let aot_cmd =
         Sys.rmdir d
     in
     let failures = ref 0 in
-    say "aot: %d workloads at scale %d (cold boot stores, warm boot reloads; cache root %s)\n%!"
-      (List.length bench_quick_names) scale root;
-    let rows =
-      List.map
-        (fun name ->
-          let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-          let wdir = Filename.concat root name in
+    let workloads = W.select [ W.Quick ] in
+    say json "aot: %d workloads at scale %d (cold boot stores, warm boot reloads; cache root %s)\n%!"
+      (List.length workloads) scale root;
+    List.iter
+      (fun (w : W.entry) ->
+        let name = w.W.name in
+        let wdir = Filename.concat root name in
+        wipe wdir;
+        let boot () =
+          W.boot ~scale (R.Captive { CE.default_config with CE.aot_dir = Some wdir }) w
+        in
+        let c = boot () in
+        let wm = boot () in
+        let e_c = R.captive_of c and e_w = R.captive_of wm in
+        let sc = e_c.CE.stats and sw = e_w.CE.stats in
+        let tc = sc.CE.translate_cycles in
+        let tw = sw.CE.translate_cycles in
+        let xc = CE.exec_cycles e_c in
+        let xw = CE.exec_cycles e_w in
+        let ratio = 100. *. float_of_int tw /. float_of_int (max 1 tc) in
+        let exits_ok = c.R.exit = wm.R.exit && W.exit_ok ~scale w c.R.exit in
+        let ok =
+          exits_ok && xc = xw && ratio <= max_ratio
+          && sw.CE.aot_rejects = 0
+          && sw.CE.reloc_findings = 0
+        in
+        let exit_c = R.exit_json c.R.exit and exit_w = R.exit_json wm.R.exit in
+        if not ok then begin
+          incr failures;
+          if not exits_ok then
+            shout json
+              (Printf.sprintf "aot: %s: exit codes cold %s / warm %s (expected %d at scale 1)"
+                 name exit_c exit_w w.W.expected);
+          if xc <> xw then
+            shout json
+              (Printf.sprintf "aot: %s: guest execution cycles differ (cold %d, warm %d)" name xc
+                 xw);
+          if ratio > max_ratio then
+            shout json
+              (Printf.sprintf
+                 "aot: %s: warm translate cycles %d are %.1f%% of cold %d (limit %.0f%%)" name tw
+                 ratio tc max_ratio);
+          if sw.CE.aot_rejects > 0 then
+            shout json
+              (Printf.sprintf "aot: %s: warm boot rejected %d cache entr(ies)" name
+                 sw.CE.aot_rejects);
+          if sw.CE.reloc_findings > 0 then begin
+            shout json
+              (Printf.sprintf "aot: %s: %d relocation finding(s)" name sw.CE.reloc_findings);
+            List.iter
+              (fun (f : Captive.Jit.finding) ->
+                shout json
+                  (Printf.sprintf "  %s %s\n    %s" name f.Captive.Jit.what f.Captive.Jit.detail))
+              (CE.findings e_w)
+          end
+        end;
+        if json then
+          Printf.printf
+            "{\"kind\":\"workload\",\"name\":%s,\"ok\":%b,\"exit_cold\":%s,\"exit_warm\":%s,\"cold_translate_cycles\":%d,\"warm_translate_cycles\":%d,\"warm_ratio_pct\":%.2f,\"cold_template_cycles\":%d,\"cold_pipeline_cycles\":%d,\"warm_template_cycles\":%d,\"warm_pipeline_cycles\":%d,\"template_blocks_cold\":%d,\"template_blocks_warm\":%d,\"exec_cycles_cold\":%d,\"exec_cycles_warm\":%d,\"exec_identical\":%b,\"aot_stores\":%d,\"aot_hits\":%d,\"aot_misses\":%d,\"aot_rejects\":%d,\"cache_entries\":%d}\n"
+            (Dbt_util.Stats.json_string name)
+            ok exit_c exit_w tc tw ratio sc.CE.translate_cycles_template
+            sc.CE.translate_cycles_pipeline sw.CE.translate_cycles_template
+            sw.CE.translate_cycles_pipeline sc.CE.template_blocks sw.CE.template_blocks xc xw
+            (xc = xw) sc.CE.aot_stores sw.CE.aot_hits sw.CE.aot_misses sw.CE.aot_rejects
+            (CE.aot_entry_count e_w)
+        else
+          say json
+            "%-16s cold translate %9d  warm %7d (%5.1f%%)  exec %11d %s  stored %3d, reloaded %3d%s\n"
+            name tc tw ratio xc
+            (if xc = xw then "==" else "!=")
+            sc.CE.aot_stores sw.CE.aot_hits
+            (if ok then "" else "  FAIL");
+        if not keep then begin
           wipe wdir;
-          let boot () =
-            let config =
-              { Captive.Engine.default_config with Captive.Engine.aot_dir = Some wdir }
-            in
-            boot ~config ~max_cycles:50_000_000_000 (Arm_user user)
-          in
-          let e_c, code_c = boot () in
-          let e_w, code_w = boot () in
-          let sc = e_c.Captive.Engine.stats and sw = e_w.Captive.Engine.stats in
-          let tc = sc.Captive.Engine.translate_cycles in
-          let tw = sw.Captive.Engine.translate_cycles in
-          let xc = Captive.Engine.exec_cycles e_c in
-          let xw = Captive.Engine.exec_cycles e_w in
-          let ratio = 100. *. float_of_int tw /. float_of_int (max 1 tc) in
-          let ok =
-            code_c = code_w && code_c >= 0 && xc = xw && ratio <= max_ratio
-            && sw.Captive.Engine.aot_rejects = 0
-            && sw.Captive.Engine.reloc_findings = 0
-          in
-          if not ok then begin
-            incr failures;
-            if code_c <> code_w || code_c < 0 then
-              shout (Printf.sprintf "aot: %s: exit codes cold %d / warm %d" name code_c code_w);
-            if xc <> xw then
-              shout
-                (Printf.sprintf "aot: %s: guest execution cycles differ (cold %d, warm %d)"
-                   name xc xw);
-            if ratio > max_ratio then
-              shout
-                (Printf.sprintf
-                   "aot: %s: warm translate cycles %d are %.1f%% of cold %d (limit %.0f%%)"
-                   name tw ratio tc max_ratio);
-            if sw.Captive.Engine.aot_rejects > 0 then
-              shout
-                (Printf.sprintf "aot: %s: warm boot rejected %d cache entr(ies)" name
-                   sw.Captive.Engine.aot_rejects);
-            if sw.Captive.Engine.reloc_findings > 0 then begin
-              shout
-                (Printf.sprintf "aot: %s: %d relocation finding(s)" name
-                   sw.Captive.Engine.reloc_findings);
-              List.iter
-                (fun (f : Captive.Jit.finding) ->
-                  shout
-                    (Printf.sprintf "  %s %s\n    %s" name f.Captive.Jit.what f.Captive.Jit.detail))
-                (Captive.Engine.findings e_w)
-            end
-          end;
-          if json then
-            Printf.printf
-              "{\"kind\":\"workload\",\"name\":%s,\"ok\":%b,\"exit_cold\":%d,\"exit_warm\":%d,\"cold_translate_cycles\":%d,\"warm_translate_cycles\":%d,\"warm_ratio_pct\":%.2f,\"cold_template_cycles\":%d,\"cold_pipeline_cycles\":%d,\"warm_template_cycles\":%d,\"warm_pipeline_cycles\":%d,\"template_blocks_cold\":%d,\"template_blocks_warm\":%d,\"exec_cycles_cold\":%d,\"exec_cycles_warm\":%d,\"exec_identical\":%b,\"aot_stores\":%d,\"aot_hits\":%d,\"aot_misses\":%d,\"aot_rejects\":%d,\"cache_entries\":%d}\n"
-              (Dbt_util.Stats.json_string name)
-              ok code_c code_w tc tw ratio sc.Captive.Engine.translate_cycles_template
-              sc.Captive.Engine.translate_cycles_pipeline
-              sw.Captive.Engine.translate_cycles_template
-              sw.Captive.Engine.translate_cycles_pipeline sc.Captive.Engine.template_blocks
-              sw.Captive.Engine.template_blocks xc xw (xc = xw) sc.Captive.Engine.aot_stores
-              sw.Captive.Engine.aot_hits sw.Captive.Engine.aot_misses
-              sw.Captive.Engine.aot_rejects
-              (Captive.Engine.aot_entry_count e_w)
-          else
-            say
-              "%-16s cold translate %9d  warm %7d (%5.1f%%)  exec %11d %s  stored %3d, reloaded %3d%s\n"
-              name tc tw ratio xc
-              (if xc = xw then "==" else "!=")
-              sc.Captive.Engine.aot_stores sw.Captive.Engine.aot_hits
-              (if ok then "" else "  FAIL");
-          if not keep then begin
-            wipe wdir;
-            rmdir_if_empty wdir
-          end;
-          (name, ok))
-        bench_quick_names
-    in
+          rmdir_if_empty wdir
+        end)
+      workloads;
     if not keep then rmdir_if_empty root;
     if json then
       Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"scale\":%d,\"failures\":%d,\"gate\":%s}\n"
-        (List.length rows) scale !failures
+        (List.length workloads) scale !failures
         (Dbt_util.Stats.json_string (if !failures = 0 then "pass" else "fail"));
-    shout
+    shout json
       (Printf.sprintf "aot: warm-boot gate (<= %.0f%% of cold translate cycles, \
                        bit-identical execution): %s"
          max_ratio
          (if !failures = 0 then "PASS" else "FAIL"));
-    if !failures = 0 then `Ok ()
-    else `Error (false, Printf.sprintf "aot: %d gate failure(s)" !failures)
+    verdict "aot" !failures
   in
   Cmd.v
     (Cmd.info "aot"
-       ~doc:"Run each quick-bench workload cold then warm against the same persistent AOT \
-             cache and gate: warm translate cycles <= 10% of cold, guest execution cycles \
+       ~doc:"Run each quick workload cold then warm against the same persistent AOT cache \
+             and gate: warm translate cycles <= 10% of cold, guest execution cycles \
              bit-identical, nothing rejected.")
     Term.(ret (const run $ json $ dir $ keep $ max_ratio $ scale_arg))
 
@@ -1339,26 +1168,15 @@ let aot_cmd =
    mining: the translate-time cost model charges zero simulated cycles
    for mining because this subcommand can build the identical table
    ahead of time. *)
-let guest_arg =
-  Arg.(value & opt string "all" & info [ "guest" ] ~docv:"GUEST"
-         ~doc:"Guest model to mine: armv8-a, rv64im or all.")
-
 let mine_templates_cmd =
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Emit one flat JSON object per (form, MMU regime) plus a summary per guest.")
   in
-  let run json guest_name =
-    let guests =
-      match guest_name with
-      | "all" -> [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
-      | "armv8-a" | "arm" -> [ Guest_arm.Arm.ops () ]
-      | "rv64im" | "riscv" -> [ Guest_riscv.Riscv.ops () ]
-      | s -> failwith (Printf.sprintf "unknown guest %S (armv8-a|rv64im|all)" s)
-    in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
+  let run json guests =
     List.iter
-      (fun (guest : Guest.Ops.ops) ->
+      (fun g ->
+        let guest = R.ops g in
         let e = Captive.Engine.create guest in
         let tt = Captive.Engine.template_table e in
         let model = guest.Guest.Ops.model in
@@ -1405,22 +1223,22 @@ let mine_templates_cmd =
                 | Some reason -> Dbt_util.Stats.json_string reason))
             report
         else begin
-          say "\n=== %s: %d forms mined (%d live, %d untemplatable) ===\n\n"
+          say json "\n=== %s: %d forms mined (%d live, %d untemplatable) ===\n\n"
             guest.Guest.Ops.name (List.length report) (List.length live) (List.length dead);
-          say "%-28s %4s %9s %5s %11s %6s\n" "form" "mmu" "variants" "pins" "host-instrs"
+          say json "%-28s %4s %9s %5s %11s %6s\n" "form" "mmu" "variants" "pins" "host-instrs"
             "holes";
           List.iter
             (fun (r : Hostir.Template.form_report) ->
-              say "%-28s %4s %9d %5d %11d %6d\n" r.Hostir.Template.fr_name
+              say json "%-28s %4s %9d %5d %11d %6d\n" r.Hostir.Template.fr_name
                 (if r.Hostir.Template.fr_mmu then "on" else "off")
                 r.Hostir.Template.fr_variants r.Hostir.Template.fr_pins
                 r.Hostir.Template.fr_host_instrs r.Hostir.Template.fr_holes)
             live;
           if dead <> [] then begin
-            say "\nuntemplatable forms (cold-pipeline fallback):\n";
+            say json "\nuntemplatable forms (cold-pipeline fallback):\n";
             List.iter
               (fun (r : Hostir.Template.form_report) ->
-                say "  %-28s %s\n" r.Hostir.Template.fr_name
+                say json "  %-28s %s\n" r.Hostir.Template.fr_name
                   (Option.value ~default:"?" r.Hostir.Template.fr_dead))
               dead
           end
@@ -1433,7 +1251,7 @@ let mine_templates_cmd =
             (Hostir.Template.variant_count tt)
             !mined !missed
         else
-          say "\n%s: %d template variants live, %d witness encodings untemplatable\n"
+          say json "\n%s: %d template variants live, %d witness encodings untemplatable\n"
             guest.Guest.Ops.name
             (Hostir.Template.variant_count tt)
             !missed)
@@ -1444,11 +1262,11 @@ let mine_templates_cmd =
     (Cmd.info "mine-templates"
        ~doc:"Mine the per-opcode translation template table offline and report per-form \
              variants, pins, holes and untemplatable forms.")
-    Term.(ret (const run $ json $ guest_arg))
+    Term.(ret (const run $ json $ guests_arg [ "guest" ] "mine"))
 
 (* --- templates (coverage report) ------------------------------------------------------- *)
 
-(* Template-tier coverage: run the quick-bench workloads (plus the two
+(* Template-tier coverage: run the quick workloads (plus the two
    MMU-stress images) and report, per workload, the share of translated
    guest instructions served by the template tier, with a per-opcode
    miss table for whatever fell back to the cold pipeline. *)
@@ -1468,55 +1286,40 @@ let templates_cmd =
                  no promotion-time pipeline re-translation in the denominator).")
   in
   let run json min_coverage hot_threshold scale =
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
     let config =
-      let c = Captive.Engine.default_config in
-      match hot_threshold with
-      | Some h -> { c with Captive.Engine.hot_threshold = h }
-      | None -> c
+      { CE.default_config with
+        CE.hot_threshold = Option.value hot_threshold ~default:CE.default_config.CE.hot_threshold;
+      }
     in
-    let run_workload = function
-      | `Spec name ->
-        let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-        let e, code = boot ~config ~max_cycles:50_000_000_000 (Arm_user user) in
-        (name, e, code)
-      | `Arm_mmu ->
-        let e, code = boot ~config (Arm_user (Workloads.Mmu_stress.arm_user ())) in
-        ("armv8-a-mmu", e, code)
-      | `Riscv_mmu ->
-        let e, code = boot ~config Riscv_mmu in
-        ("rv64im-mmu", e, code)
-    in
-    let workloads =
-      List.map (fun n -> `Spec n) bench_quick_names @ [ `Arm_mmu; `Riscv_mmu ]
-    in
+    let workloads = W.select [ W.Quick ] @ W.select [ W.Mmu_stress ] in
     let failures = ref 0 in
+    let fail line = incr failures; shout json line in
     let coverages = ref [] in
-    say "templates: coverage over %d workloads at scale %d%s\n%!" (List.length workloads)
+    say json "templates: coverage over %d workloads at scale %d%s\n%!" (List.length workloads)
       scale
       (match hot_threshold with
       | Some h -> Printf.sprintf " (hot threshold %d)" h
       | None -> "");
     List.iter
-      (fun w ->
-        let name, e, code = run_workload w in
-        let s = e.Captive.Engine.stats in
-        let covered = s.Captive.Engine.template_instrs in
-        let total = s.Captive.Engine.guest_instrs_translated in
+      (fun (w : W.entry) ->
+        let o = W.boot ~scale (R.Captive config) w in
+        let e = R.captive_of o in
+        let s = e.CE.stats in
+        let covered = s.CE.template_instrs in
+        let total = s.CE.guest_instrs_translated in
         let pct = 100. *. float_of_int covered /. float_of_int (max 1 total) in
         coverages := pct :: !coverages;
-        let misses = Captive.Engine.template_miss_table e in
-        if code < 0 then begin
-          incr failures;
-          shout (Printf.sprintf "templates: %s: abnormal exit %d" name code)
-        end;
-        if pct < min_coverage then begin
-          incr failures;
-          shout
-            (Printf.sprintf "templates: %s: coverage %.1f%% below --min-coverage %.1f%%" name
-               pct min_coverage)
-        end;
+        let misses = CE.template_miss_table e in
+        let exit_ok = W.exit_ok ~scale w o.R.exit in
+        let exit = R.exit_json o.R.exit in
+        if not exit_ok then
+          fail
+            (Printf.sprintf "templates: %s: exit %s (expected %d at scale 1)" w.W.name exit
+               w.W.expected);
+        if pct < min_coverage then
+          fail
+            (Printf.sprintf "templates: %s: coverage %.1f%% below --min-coverage %.1f%%"
+               w.W.name pct min_coverage);
         if json then begin
           let miss_json =
             String.concat ","
@@ -1526,22 +1329,17 @@ let templates_cmd =
                  misses)
           in
           Printf.printf
-            "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"coverage_pct\":%.2f,\"template_instrs\":%d,\"guest_instrs_translated\":%d,\"template_blocks\":%d,\"blocks_translated\":%d,\"template_fallback_blocks\":%d,\"template_misses\":%d,\"templates_mined\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"misses\":[%s]}\n"
-            (Dbt_util.Stats.json_string name)
-            code pct covered total s.Captive.Engine.template_blocks
-            s.Captive.Engine.blocks_translated s.Captive.Engine.template_fallback_blocks
-            s.Captive.Engine.template_misses s.Captive.Engine.templates_mined
-            s.Captive.Engine.translate_cycles_template
-            s.Captive.Engine.translate_cycles_pipeline miss_json
+            "{\"kind\":\"workload\",\"name\":%s,\"exit\":%s,\"coverage_pct\":%.2f,\"template_instrs\":%d,\"guest_instrs_translated\":%d,\"template_blocks\":%d,\"blocks_translated\":%d,\"template_fallback_blocks\":%d,\"template_misses\":%d,\"templates_mined\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"misses\":[%s]}\n"
+            (Dbt_util.Stats.json_string w.W.name)
+            exit pct covered total s.CE.template_blocks s.CE.blocks_translated
+            s.CE.template_fallback_blocks s.CE.template_misses s.CE.templates_mined
+            s.CE.translate_cycles_template s.CE.translate_cycles_pipeline miss_json
         end
         else begin
-          say "%-16s coverage %5.1f%%  (%d/%d instrs, %d/%d blocks, %d mined)%s\n" name pct
-            covered total s.Captive.Engine.template_blocks
-            s.Captive.Engine.blocks_translated s.Captive.Engine.templates_mined
-            (if code >= 0 then "" else "  ABNORMAL EXIT");
-          List.iteri
-            (fun i (op, n) -> if i < 8 then say "    miss %-24s x%d\n" op n)
-            misses
+          say json "%-16s coverage %5.1f%%  (%d/%d instrs, %d/%d blocks, %d mined)%s\n" w.W.name
+            pct covered total s.CE.template_blocks s.CE.blocks_translated s.CE.templates_mined
+            (if exit_ok then "" else "  WRONG EXIT");
+          List.iteri (fun i (op, n) -> if i < 8 then say json "    miss %-24s x%d\n" op n) misses
         end)
       workloads;
     let min_pct = List.fold_left min 100. !coverages in
@@ -1551,12 +1349,11 @@ let templates_cmd =
         (List.length workloads) scale min_pct
         (Dbt_util.Stats.json_string (if !failures = 0 then "pass" else "fail"))
         !failures;
-    shout
+    shout json
       (Printf.sprintf "templates: min coverage %.1f%% over %d workloads: %s" min_pct
          (List.length workloads)
          (if !failures = 0 then "PASS" else "FAIL"));
-    if !failures = 0 then `Ok ()
-    else `Error (false, Printf.sprintf "templates: %d failure(s)" !failures)
+    verdict "templates" !failures
   in
   Cmd.v
     (Cmd.info "templates"
@@ -1574,7 +1371,7 @@ let () =
       `Noblank; `P "$(mname) $(b,info)";
       `Noblank; `P "$(mname) $(b,ssa) $(i,INSTRUCTION) [$(b,--level) $(i,N)] [$(b,--guest) $(i,GUEST)] [$(b,--classify)]";
       `Noblank; `P "$(mname) $(b,lint) [$(b,--guest) $(i,GUEST)] [$(b,--json)]";
-      `Noblank; `P "$(mname) $(b,mmucheck) [$(b,--json)] [$(b,--guard)] [$(b,--every) $(i,N)]";
+      `Noblank; `P "$(mname) $(b,mmucheck) [$(b,--json)] [$(b,--guard)]";
       `Noblank; `P "$(mname) $(b,stress) [$(b,--json)] [$(b,--seeds) $(i,N)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,bench) [$(b,--quick)] [$(b,--json)] [$(b,--baseline) $(i,FILE)] [$(b,--exact)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,check) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";

@@ -9,6 +9,7 @@
    host's SQRTSD. *)
 
 module A = Guest_arm.Arm_asm
+module R = Workloads.Runner
 
 let inputs =
   [
@@ -40,29 +41,17 @@ let program () =
   A.b a "hang";
   A.assemble a
 
-let run_captive ~hw_fp =
-  let config = { Captive.Engine.default_config with Captive.Engine.hw_fp } in
-  let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-  Captive.Engine.load_image e ~addr:0x80000L (program ());
-  Captive.Engine.set_entry e 0x80000L;
-  ignore (Captive.Engine.run ~max_cycles:50_000_000 e);
-  List.mapi
-    (fun i _ -> Hvm.Mem.read64 e.Captive.Engine.machine.Hvm.Machine.mem (Int64.of_int (0x100000 + (8 * i))))
-    inputs
-
-let run_qemu () =
-  let e = Qemu_ref.Qemu_engine.create (Guest_arm.Arm.ops ()) in
-  Qemu_ref.Qemu_engine.load_image e ~addr:0x80000L (program ());
-  Qemu_ref.Qemu_engine.set_entry e 0x80000L;
-  ignore (Qemu_ref.Qemu_engine.run ~max_cycles:50_000_000 e);
-  List.mapi
-    (fun i _ -> Hvm.Mem.read64 e.Qemu_ref.Qemu_engine.machine.Hvm.Machine.mem (Int64.of_int (0x100000 + (8 * i))))
-    inputs
+(* The result bits the guest stored, after a run on [engine]. *)
+let results engine =
+  let o = R.boot ~max_cycles:50_000_000 engine R.Arm (R.Bare { addr = 0x80000L; code = program () }) in
+  let mem = (R.machine o.R.handle).Hvm.Machine.mem in
+  List.mapi (fun i _ -> Hvm.Mem.read64 mem (Int64.of_int (0x100000 + (8 * i)))) inputs
 
 let () =
-  let hw = run_captive ~hw_fp:true in
-  let soft = run_captive ~hw_fp:false in
-  let qemu = run_qemu () in
+  let captive hw_fp = R.Captive { Captive.Engine.default_config with Captive.Engine.hw_fp } in
+  let hw = results (captive true) in
+  let soft = results (captive false) in
+  let qemu = results R.qemu in
   let host_sqrtsd = List.map (fun (_, b) -> Softfloat.Archfp.x86_sqrtsd b) inputs in
   Printf.printf "%-6s %-18s %-18s %-18s %-8s\n" "input" "host SQRTSD" "guest FSQRT (hw)" "guest (softfloat)" "agree?";
   List.iteri
@@ -75,4 +64,7 @@ let () =
     inputs;
   if List.for_all2 (fun a b -> a = b) hw qemu && List.for_all2 (fun a b -> a = b) hw soft then
     print_endline "\nall three configurations are bit-identical (ARMv8 semantics)"
-  else print_endline "\nBIT-ACCURACY VIOLATION"
+  else begin
+    prerr_endline "\nBIT-ACCURACY VIOLATION";
+    exit 1
+  end

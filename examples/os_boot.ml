@@ -8,6 +8,7 @@
 
 module A = Guest_arm.Arm_asm
 module K = Workloads.Kernel
+module R = Workloads.Runner
 
 let user_program () =
   let a = A.create ~base:K.user_va () in
@@ -42,27 +43,18 @@ let user_program () =
   A.assemble a
 
 let () =
-  let guest = Guest_arm.Arm.ops () in
-  let user = user_program () in
-
-  let e = Captive.Engine.create guest in
-  K.install (K.captive_target e) ~user;
-  let code = match Captive.Engine.run ~max_cycles:500_000_000 e with
-    | Captive.Engine.Poweroff c -> c
-    | _ -> -1
-  in
-  Printf.printf "--- Captive ---\n%s(exit %d, %d simulated cycles, %d host page faults)\n\n"
-    (Captive.Engine.uart_output e) code (Captive.Engine.cycles e)
-    e.Captive.Engine.machine.Hvm.Machine.faults;
-
-  let q = Qemu_ref.Qemu_engine.create guest in
-  K.install (K.qemu_target q) ~user;
-  let code = match Qemu_ref.Qemu_engine.run ~max_cycles:500_000_000 q with
-    | Qemu_ref.Qemu_engine.Poweroff c -> c
-    | _ -> -1
-  in
-  Printf.printf "--- QEMU-style baseline ---\n%s(exit %d, %d simulated cycles)\n\n"
-    (Qemu_ref.Qemu_engine.uart_output q) code (Qemu_ref.Qemu_engine.cycles q);
-
+  let image = R.User { user = user_program (); timer = true } in
+  let run engine = R.boot ~max_cycles:500_000_000 engine R.Arm image in
+  let c = run R.captive in
+  Printf.printf "--- Captive ---\n%s(exit %s, %d simulated cycles, %d host page faults)\n\n"
+    c.R.uart (R.exit_to_string c.R.exit) c.R.cycles
+    (R.captive_of c).Captive.Engine.machine.Hvm.Machine.faults;
+  let q = run R.qemu in
+  Printf.printf "--- QEMU-style baseline ---\n%s(exit %s, %d simulated cycles)\n\n" q.R.uart
+    (R.exit_to_string q.R.exit) q.R.cycles;
   Printf.printf "Captive/QEMU cycle ratio: %.2fx\n"
-    (float_of_int (Qemu_ref.Qemu_engine.cycles q) /. float_of_int (Captive.Engine.cycles e))
+    (float_of_int q.R.cycles /. float_of_int c.R.cycles);
+  if c.R.exit <> R.Poweroff 7 || q.R.exit <> R.Poweroff 7 then begin
+    prerr_endline "os_boot: both engines must exit 7";
+    exit 1
+  end

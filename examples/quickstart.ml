@@ -55,7 +55,8 @@ let () =
   let engine = Captive.Engine.create guest in
   Captive.Engine.load_image engine ~addr:0x80000L (program ());
   Captive.Engine.set_entry engine 0x80000L;
-  (match Captive.Engine.run ~max_cycles:50_000_000 engine with
+  let outcome = Captive.Engine.run ~max_cycles:50_000_000 engine in
+  (match outcome with
   | Captive.Engine.Poweroff code -> Printf.printf "guest powered off (exit %d)\n" code
   | _ -> print_endline "guest did not finish");
   Printf.printf "UART output: %s" (Captive.Engine.uart_output engine);
@@ -63,4 +64,5 @@ let () =
   Printf.printf "simulated host cycles: %d\n" (Captive.Engine.cycles engine);
   Printf.printf "translated %d blocks (%d guest instructions -> %d host instructions)\n"
     s.Captive.Engine.blocks_translated s.Captive.Engine.guest_instrs_translated
-    s.Captive.Engine.host_instrs_emitted
+    s.Captive.Engine.host_instrs_emitted;
+  if outcome <> Captive.Engine.Poweroff 0 then exit 1

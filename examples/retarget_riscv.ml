@@ -8,6 +8,7 @@
    exits through the ECALL convention (a7 = 93). *)
 
 module R = Guest_riscv.Rv_asm
+module Run = Workloads.Runner
 
 let program () =
   let a = R.create ~base:0x1000L () in
@@ -39,30 +40,23 @@ let program () =
   R.assemble a
 
 let () =
-  let guest = Guest_riscv.Riscv.ops () in
-  let image = program () in
-
-  let e = Captive.Engine.create guest in
-  Captive.Engine.load_image e ~addr:0x1000L image;
-  Captive.Engine.set_entry e 0x1000L;
-  (match Captive.Engine.run ~max_cycles:50_000_000 e with
-  | Captive.Engine.Poweroff c ->
-    Printf.printf "captive:    fib(30) ends ...%s  exit=%d  (%d cycles)\n"
-      (Captive.Engine.uart_output e) c (Captive.Engine.cycles e)
-  | _ -> print_endline "captive: did not finish");
-
-  let q = Qemu_ref.Qemu_engine.create guest in
-  Qemu_ref.Qemu_engine.load_image q ~addr:0x1000L image;
-  Qemu_ref.Qemu_engine.set_entry q 0x1000L;
-  (match Qemu_ref.Qemu_engine.run ~max_cycles:50_000_000 q with
-  | Qemu_ref.Qemu_engine.Poweroff c ->
-    Printf.printf "qemu-style: fib(30) ends ...%s  exit=%d  (%d cycles)\n"
-      (Qemu_ref.Qemu_engine.uart_output q) c (Qemu_ref.Qemu_engine.cycles q)
-  | _ -> print_endline "qemu-style: did not finish");
+  let image = Run.Bare { addr = 0x1000L; code = program () } in
+  let outcomes =
+    List.map
+      (fun (name, engine) ->
+        let o = Run.boot ~max_cycles:50_000_000 engine Run.Riscv image in
+        Printf.printf "%-11s fib(30) ends ...%s  exit=%s  (%d cycles)\n" (name ^ ":") o.Run.uart
+          (Run.exit_to_string o.Run.exit) o.Run.cycles;
+        o)
+      [ ("captive", Run.captive); ("qemu-style", Run.qemu) ]
+  in
   print_endline "fib(30) = 832040";
-
   (* the retargeting effort, quantified *)
-  let m = guest.Guest.Ops.model in
+  let m = (Run.ops Run.Riscv).Guest.Ops.model in
   Printf.printf "\nRV64IM model: %d decode entries, %d optimized SSA statements\n"
     (List.length m.Ssa.Offline.arch.Adl.Ast.a_decodes)
-    (Ssa.Offline.total_size m)
+    (Ssa.Offline.total_size m);
+  if List.exists (fun (o : Run.outcome) -> o.Run.exit <> Run.Poweroff 42) outcomes then begin
+    prerr_endline "retarget_riscv: both engines must exit 42";
+    exit 1
+  end

@@ -16,7 +16,19 @@ type benchmark = {
   build : scale:int -> bytes;
 }
 
-let b name fp build = { name; fp; build }
+(* Every proxy loads its loop counters with [k * scale] and counts them
+   down to zero, so a scale below 1 would wrap and never finish. *)
+let parse_scale s =
+  match int_of_string_opt s with
+  | Some n when n >= 1 -> Ok n
+  | _ -> Error (Printf.sprintf "scale %S is not a positive integer" s)
+
+let b name fp build =
+  let build ~scale =
+    if scale < 1 then invalid_arg (Printf.sprintf "%s: scale %d is not positive" name scale);
+    build ~scale
+  in
+  { name; fp; build }
 
 (* ------------------------------------------------------------------ int *)
 

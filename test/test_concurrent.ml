@@ -133,15 +133,14 @@ let test_cache_domains () =
 (* --- engine: SMC between job capture and install ------------------------ *)
 
 let run_arm_stress config =
-  let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-  K.install (K.captive_target e) ~user:(MS.arm_user ());
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  let code, e = Harness.workload ~config "armv8-a-mmu" in
   (e, code)
 
 (* A populated engine plus one plain tier-0 block to build a job from. *)
 let engine_with_head () =
   let e, code = run_arm_stress CE.default_config in
-  Alcotest.(check int) "workload ran" MS.arm_expected_exit code;
+  Alcotest.check Harness.exit_t "workload ran" (Workloads.Runner.Poweroff MS.arm_expected_exit)
+    code;
   let head =
     CC.fold
       (fun _ tr acc ->
@@ -282,10 +281,8 @@ let two_page_loop () =
   A.assemble a
 
 let run_two_page config =
-  let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-  K.install (K.captive_target e) ~user:(two_page_loop ());
-  let code = match CE.run ~max_cycles:100_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  Alcotest.(check int) "loop ran" 0 code;
+  let code, e = Harness.captive ~config (Harness.user (two_page_loop ())) in
+  Alcotest.check Harness.exit_t "loop ran" (Workloads.Runner.Poweroff 0) code;
   e
 
 let live e (tgt : CE.translation) =
@@ -426,7 +423,7 @@ let test_multi_domain_equivalence () =
       Fun.protect
         ~finally:(fun () -> CE.shutdown e3)
         (fun () ->
-          Alcotest.(check int) "same exit code" code1 code3;
+          Alcotest.check Harness.exit_t "same exit code" code1 code3;
           Alcotest.(check string) "same uart output" (CE.uart_output e1) (CE.uart_output e3);
           CE.sanitize_check e3 ~reason:"final";
           match e3.CE.sanitizer with
@@ -439,7 +436,7 @@ let test_multi_domain_equivalence () =
 let test_single_domain_determinism () =
   let e_a, code_a = run_arm_stress CE.default_config in
   let e_b, code_b = run_arm_stress CE.default_config in
-  Alcotest.(check int) "same exit" code_a code_b;
+  Alcotest.check Harness.exit_t "same exit" code_a code_b;
   Alcotest.(check int) "same cycles" (CE.cycles e_a) (CE.cycles e_b);
   Alcotest.(check int) "same exec cycles" (CE.exec_cycles e_a) (CE.exec_cycles e_b);
   Alcotest.(check int) "same jit cycles" (CE.jit_cycles e_a) (CE.jit_cycles e_b);

@@ -3,61 +3,23 @@
    interrupts, self-modifying code), and the paper's architectural claims
    (code-cache retention across TLB flushes, Table 2 bit accuracy). *)
 
-module A = Guest_arm.Arm_asm
+open Harness
 module K = Workloads.Kernel
-module CE = Captive.Engine
 module QE = Qemu_ref.Qemu_engine
-module RE = Captive.Reference
 
-let guest () = Guest_arm.Arm.ops ()
-
-type outcome = { exit_code : int; uart : string }
-
-let run_captive ?config ~image ~entry () =
-  let e = CE.create ?config (guest ()) in
-  CE.load_image e ~addr:entry image;
-  CE.set_entry e entry;
-  let code = match CE.run ~max_cycles:500_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  ({ exit_code = code; uart = CE.uart_output e }, `Captive e)
-
-let run_qemu ~image ~entry () =
-  let e = QE.create (guest ()) in
-  QE.load_image e ~addr:entry image;
-  QE.set_entry e entry;
-  let code = match QE.run ~max_cycles:500_000_000 e with QE.Poweroff c -> c | _ -> -1 in
-  { exit_code = code; uart = QE.uart_output e }
-
-let run_reference ~image ~entry () =
-  let r = RE.create (guest ()) in
-  RE.load_image r ~addr:entry image;
-  RE.set_entry r entry;
-  let code = match RE.run ~max_instrs:30_000_000 r with RE.Poweroff c -> c | _ -> -1 in
-  { exit_code = code; uart = RE.uart_output r }
-
-let check_all_agree name image entry =
-  let c, _ = run_captive ~image ~entry () in
-  let q = run_qemu ~image ~entry () in
-  let r = run_reference ~image ~entry () in
-  Alcotest.(check int) (name ^ ": captive vs ref exit") r.exit_code c.exit_code;
-  Alcotest.(check int) (name ^ ": qemu vs ref exit") r.exit_code q.exit_code;
-  Alcotest.(check string) (name ^ ": captive vs ref uart") r.uart c.uart;
-  Alcotest.(check string) (name ^ ": qemu vs ref uart") r.uart q.uart;
+(* Run [image] on the reference interpreter and both DBT engines: each
+   engine must end as the reference does, with the same UART output. *)
+let check_all_agree name image =
+  let r = run R.Reference image in
+  List.iter
+    (fun (engine, e) ->
+      let o = run e image in
+      Alcotest.check exit_t (name ^ ": " ^ engine ^ " vs ref exit") r.R.exit o.R.exit;
+      Alcotest.(check string) (name ^ ": " ^ engine ^ " vs ref uart") r.R.uart o.R.uart)
+    [ ("captive", R.captive); ("qemu", R.qemu) ];
   r
 
 (* --- bare-metal programs ----------------------------------------------------- *)
-
-let syscon = 0x0930_0000L
-let uart = 0x0910_0000L
-
-let bare_metal body =
-  let a = A.create ~base:0x80000L () in
-  body a;
-  (* exit with x0 *)
-  A.mov_const a A.x25 syscon;
-  A.str a A.x0 A.x25;
-  A.label a "__hang";
-  A.b a "__hang";
-  A.assemble a
 
 let test_bare_metal_agreement () =
   let progs =
@@ -124,7 +86,7 @@ let test_bare_metal_agreement () =
             A.tbz a A.x1 4 "outer") );
     ]
   in
-  List.iter (fun (name, image) -> ignore (check_all_agree name image 0x80000L)) progs
+  List.iter (fun (name, image) -> ignore (check_all_agree name (bare image))) progs
 
 (* --- Table 2 through the full stack -------------------------------------------- *)
 
@@ -142,8 +104,8 @@ let test_sqrt_bit_accuracy_guest () =
         A.cmp_reg a A.x2 A.x3;
         A.cset a A.x0 A.EQ)
   in
-  let r = check_all_agree "sqrt-nan" image 0x80000L in
-  Alcotest.(check int) "guest sees ARM NaN" 1 r.exit_code
+  let r = check_all_agree "sqrt-nan" (bare image) in
+  Alcotest.check exit_t "guest sees ARM NaN" (R.Poweroff 1) r.R.exit
 
 (* --- self-modifying code --------------------------------------------------------- *)
 
@@ -170,47 +132,16 @@ let test_self_modifying_code () =
         A.ret a;
         A.label a "done")
   in
-  let c, engine = run_captive ~image ~entry:0x80000L () in
-  Alcotest.(check int) "captive sees the patch (1+2)" 3 c.exit_code;
-  (match engine with
-  | `Captive e ->
-    Alcotest.(check bool) "SMC invalidation fired" true (e.CE.stats.CE.smc_invalidations > 0));
-  let q = run_qemu ~image ~entry:0x80000L () in
-  Alcotest.(check int) "qemu sees the patch" 3 q.exit_code;
-  let r = run_reference ~image ~entry:0x80000L () in
-  Alcotest.(check int) "reference agrees" 3 r.exit_code
+  let r = check_all_agree "smc" (bare image) in
+  Alcotest.check exit_t "every engine sees the patch (1+2)" (R.Poweroff 3) r.R.exit;
+  let _, e = captive (bare image) in
+  Alcotest.(check bool) "SMC invalidation fired" true (e.CE.stats.CE.smc_invalidations > 0)
 
 (* --- full OS boot ------------------------------------------------------------------ *)
 
-let os_user body =
-  let a = A.create ~base:K.user_va () in
-  body a;
-  A.assemble a
-
-let install_and_run_all user =
-  let c =
-    let e = CE.create (guest ()) in
-    K.install (K.captive_target e) ~user;
-    let code = match CE.run ~max_cycles:500_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-    ({ exit_code = code; uart = CE.uart_output e }, e)
-  in
-  let q =
-    let e = QE.create (guest ()) in
-    K.install (K.qemu_target e) ~user;
-    let code = match QE.run ~max_cycles:500_000_000 e with QE.Poweroff c -> c | _ -> -1 in
-    { exit_code = code; uart = QE.uart_output e }
-  in
-  let r =
-    let e = RE.create (guest ()) in
-    K.install (K.reference_target e) ~user;
-    let code = match RE.run ~max_instrs:30_000_000 e with RE.Poweroff c -> c | _ -> -1 in
-    { exit_code = code; uart = RE.uart_output e }
-  in
-  (c, q, r)
-
 let test_os_boot_and_syscalls () =
-  let user =
-    os_user (fun a ->
+  let u =
+    el0_program (fun a ->
         List.iter
           (fun ch ->
             A.movz a A.x0 (Char.code ch);
@@ -226,19 +157,15 @@ let test_os_boot_and_syscalls () =
         A.movz a A.x8 0;
         A.svc a 0)
   in
-  let (c, _), q, r = install_and_run_all user in
-  Alcotest.(check int) "exit code" 1 r.exit_code;
-  Alcotest.(check string) "uart" "boot" r.uart;
-  Alcotest.(check int) "captive" r.exit_code c.exit_code;
-  Alcotest.(check int) "qemu" r.exit_code q.exit_code;
-  Alcotest.(check string) "captive uart" r.uart c.uart;
-  Alcotest.(check string) "qemu uart" r.uart q.uart
+  let r = check_all_agree "os boot" (user u) in
+  Alcotest.check exit_t "exit code" (R.Poweroff 1) r.R.exit;
+  Alcotest.(check string) "uart" "boot" r.R.uart
 
 let test_user_kernel_isolation () =
   (* EL0 attempting to read kernel memory must fault; the kernel's abort
      handler counts it and skips the instruction. *)
-  let user =
-    os_user (fun a ->
+  let u =
+    el0_program (fun a ->
         A.mov_const a A.x1 (K.kva 0x80000L);
         A.ldr a A.x2 A.x1; (* kernel VA: faults, is skipped *)
         A.mov_const a A.x1 K.kernel_pa;
@@ -248,14 +175,12 @@ let test_user_kernel_isolation () =
         A.movz a A.x8 0;
         A.svc a 0)
   in
-  let (c, _), q, r = install_and_run_all user in
-  Alcotest.(check int) "two faults observed" 2 r.exit_code;
-  Alcotest.(check int) "captive agrees" r.exit_code c.exit_code;
-  Alcotest.(check int) "qemu agrees" r.exit_code q.exit_code
+  let r = check_all_agree "isolation" (user u) in
+  Alcotest.check exit_t "two faults observed" (R.Poweroff 2) r.R.exit
 
 let test_timer_interrupts () =
-  let user =
-    os_user (fun a ->
+  let u =
+    el0_program (fun a ->
         (* burn cycles until at least 2 ticks observed *)
         A.label a "wait";
         A.mov_const a A.x6 20000L;
@@ -270,18 +195,10 @@ let test_timer_interrupts () =
         A.movz a A.x8 0;
         A.svc a 0)
   in
-  let e = CE.create (guest ()) in
-  K.install (K.captive_target e) ~user;
-  (match CE.run ~max_cycles:500_000_000 e with
-  | CE.Poweroff 0 -> ()
-  | CE.Poweroff c -> Alcotest.failf "captive: unexpected exit %d" c
-  | _ -> Alcotest.fail "captive: timer ticks never reached 2");
+  let exit, e = captive (user u) in
+  Alcotest.check exit_t "captive: timer ticks reached 2" (R.Poweroff 0) exit;
   Alcotest.(check bool) "timer fired" true (e.CE.timer.Hvm.Device.Timer.fired >= 2);
-  let q = QE.create (guest ()) in
-  K.install (K.qemu_target q) ~user;
-  match QE.run ~max_cycles:500_000_000 q with
-  | QE.Poweroff 0 -> ()
-  | _ -> Alcotest.fail "qemu: timer test failed"
+  Alcotest.check exit_t "qemu: timer ticks reached 2" (R.Poweroff 0) (run R.qemu (user u)).R.exit
 
 let test_cache_retention_across_tlb_flush () =
   (* The paper's Sec. 2.6 claim: Captive's PA-indexed cache survives guest
@@ -297,14 +214,8 @@ let test_cache_retention_across_tlb_flush () =
         A.cbnz a A.x19 "loop";
         A.mov_reg a A.x0 A.x20)
   in
-  let e = CE.create (guest ()) in
-  CE.load_image e ~addr:0x80000L image;
-  CE.set_entry e 0x80000L;
-  ignore (CE.run ~max_cycles:500_000_000 e);
-  let q = QE.create (guest ()) in
-  QE.load_image q ~addr:0x80000L image;
-  QE.set_entry q 0x80000L;
-  ignore (QE.run ~max_cycles:500_000_000 q);
+  let _, e = captive (bare image) in
+  let q = match (run R.qemu (bare image)).R.handle with R.Qemu_h q -> q | _ -> assert false in
   (* Captive translates each block once; QEMU-style retranslates after
      every flush. *)
   Alcotest.(check bool) "captive retains translations" true (e.CE.stats.CE.blocks_translated < 10);
@@ -314,28 +225,14 @@ let test_cache_retention_across_tlb_flush () =
     (q.QE.stats.QE.blocks_translated > 50)
 
 let test_spec_proxies_differential () =
-  (* A representative subset of the SPEC proxies, all three engines. *)
-  List.iter
-    (fun name ->
-      let bench = Workloads.Spec.find name in
-      let user = bench.Workloads.Spec.build ~scale:1 in
-      let (c, _), q, _ = install_and_run_all (Bytes.sub user 0 (Bytes.length user)) in
-      ignore q;
-      ignore c)
-    [];
   (* keep runtime modest: captive vs qemu on three benchmarks *)
   List.iter
     (fun name ->
-      let bench = Workloads.Spec.find name in
-      let user = bench.Workloads.Spec.build ~scale:1 in
-      let e = CE.create (guest ()) in
-      K.install (K.captive_target e) ~user;
-      let cc = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-      let qe = QE.create (guest ()) in
-      K.install (K.qemu_target qe) ~user;
-      let qc = match QE.run ~max_cycles:2_000_000_000 qe with QE.Poweroff c -> c | _ -> -1 in
-      Alcotest.(check int) (name ^ " exit codes agree") cc qc;
-      Alcotest.(check bool) (name ^ " ran") true (cc >= 0))
+      let w = Workloads.Registry.find name in
+      let c = Workloads.Registry.boot R.captive w and q = Workloads.Registry.boot R.qemu w in
+      Alcotest.check exit_t (name ^ " exit codes agree") c.R.exit q.R.exit;
+      Alcotest.check exit_t (name ^ " exits as registered") (R.Poweroff w.Workloads.Registry.expected)
+        c.R.exit)
     [ "445.gobmk"; "456.hmmer"; "444.namd" ]
 
 (* --- randomized differential testing --------------------------------------- *)
@@ -385,62 +282,14 @@ let random_program seed =
     | _ ->
       A.fsqrt_d a (r 8) (r 8)
   done;
-  (* dump state: x0..x15, NZCV (via csel-able flags capture), d0..d7 *)
-  A.mov_const a A.x21 0x300000L;
-  for i = 0 to 15 do
-    A.str ~off:(8 * i) a i A.x21
-  done;
-  for i = 0 to 7 do
-    A.fmov_d_to_x a A.x22 i;
-    A.str ~off:(128 + (8 * i)) a A.x22 A.x21
-  done;
-  A.cset a A.x22 A.EQ;
-  A.cset a A.x23 A.CS;
-  A.cset a A.x24 A.MI;
-  A.cset a A.x25 A.VS;
-  A.str ~off:192 a A.x22 A.x21;
-  A.str ~off:200 a A.x23 A.x21;
-  A.str ~off:208 a A.x24 A.x21;
-  A.str ~off:216 a A.x25 A.x21;
-  (* poweroff *)
-  A.mov_const a A.x28 0x0930_0000L;
-  A.str a A.xzr A.x28;
-  A.label a "hang";
-  A.b a "hang";
-  A.assemble a
-
-let dump_region mem =
-  List.init 28 (fun i -> Hvm.Mem.read64 mem (Int64.of_int (0x300000 + (8 * i))))
+  (* dump state: x0..x15, d0..d7, then the N/Z/C/V flags via cset *)
+  dump_and_halt a ~regs:16 ~fp:8 ~flags:[ A.EQ; A.CS; A.MI; A.VS ]
 
 let prop_random_programs =
   QCheck2.Test.make ~name:"random programs: captive = qemu = reference" ~count:25
     QCheck2.Gen.int64 (fun seed ->
-      let image = random_program seed in
-      let run_c () =
-        let e = CE.create (guest ()) in
-        CE.load_image e ~addr:0x80000L image;
-        CE.set_entry e 0x80000L;
-        match CE.run ~max_cycles:100_000_000 e with
-        | CE.Poweroff _ -> dump_region e.CE.machine.Hvm.Machine.mem
-        | _ -> []
-      in
-      let run_q () =
-        let e = QE.create (guest ()) in
-        QE.load_image e ~addr:0x80000L image;
-        QE.set_entry e 0x80000L;
-        match QE.run ~max_cycles:100_000_000 e with
-        | QE.Poweroff _ -> dump_region e.QE.machine.Hvm.Machine.mem
-        | _ -> []
-      in
-      let run_r () =
-        let e = RE.create (guest ()) in
-        RE.load_image e ~addr:0x80000L image;
-        RE.set_entry e 0x80000L;
-        match RE.run ~max_instrs:10_000_000 e with
-        | RE.Poweroff _ -> dump_region e.RE.machine.Hvm.Machine.mem
-        | _ -> []
-      in
-      let c = run_c () and q = run_q () and rr = run_r () in
+      let dump engine = dump 28 (run engine (bare (random_program seed))) in
+      let c = dump R.captive and q = dump R.qemu and rr = dump R.Reference in
       c <> [] && c = q && c = rr)
 
 let suite =

@@ -168,12 +168,8 @@ let test_mem_instances_isolated () =
    touches a small share of its 256 MiB, and page-table frames that
    [Palloc] recycles do not accumulate. *)
 let test_mem_resident_after_boot () =
-  let e = Captive.Engine.create (Guest_arm.Arm.ops ()) in
-  let user = (Workloads.Spec.find "429.mcf").Workloads.Spec.build ~scale:1 in
-  Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-  (match Captive.Engine.run ~max_cycles:2_000_000_000 e with
-  | Captive.Engine.Poweroff c -> Alcotest.(check bool) "mcf exits cleanly" true (c >= 0)
-  | _ -> Alcotest.fail "mcf did not power off");
+  let code, e = Harness.workload "429.mcf" in
+  Alcotest.check Harness.exit_t "mcf exits as registered" (Workloads.Runner.Poweroff 0) code;
   let m = e.Captive.Engine.machine in
   let mem = m.Machine.mem and p = m.Machine.palloc in
   let frames = Machine.default_mem_size / 4096 in

@@ -154,8 +154,6 @@ let test_wb_fixtures () =
 
 (* --- differential properties ------------------------------------------------------- *)
 
-let guest () = Guest_arm.Arm.ops ()
-let syscon = 0x0930_0000L
 
 (* Random loop bodies dense in memory traffic through one base register:
    the shape store-to-load forwarding and promotion both fire on.  Final
@@ -182,27 +180,11 @@ let random_mem_loop seed =
   done;
   A.subs_imm a A.x19 A.x19 1;
   A.cbnz a A.x19 "loop";
-  A.mov_const a A.x21 0x300000L;
-  for i = 0 to 7 do
-    A.str ~off:(8 * i) a i A.x21
-  done;
-  A.cset a A.x22 A.EQ;
-  A.str ~off:64 a A.x22 A.x21;
-  A.mov_const a A.x28 syscon;
-  A.str a A.xzr A.x28;
-  A.label a "hang";
-  A.b a "hang";
-  A.assemble a
-
-let dump mem = List.init 9 (fun i -> Hvm.Mem.read64 mem (Int64.of_int (0x300000 + (8 * i))))
+  Harness.dump_and_halt a ~regs:8 ~flags:[ A.EQ ]
 
 let run_dump config image =
-  let e = CE.create ~config (guest ()) in
-  CE.load_image e ~addr:0x80000L image;
-  CE.set_entry e 0x80000L;
-  match CE.run ~max_cycles:100_000_000 e with
-  | CE.Poweroff _ -> (dump e.CE.machine.Hvm.Machine.mem, e)
-  | _ -> ([], e)
+  let o = Harness.run (Workloads.Runner.Captive config) (Harness.bare image) in
+  (Harness.dump 9 o, Workloads.Runner.captive_of o)
 
 let prop_promoted_vs_block =
   QCheck2.Test.make
@@ -250,19 +232,15 @@ let fault_loop_user iters =
 let test_fault_mid_region () =
   let iters = 300 in
   let user = fault_loop_user iters in
-  let run config =
-    let e = CE.create ~config (guest ()) in
-    K.install (K.captive_target e) ~user;
-    let code = match CE.run ~max_cycles:500_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-    (code, e)
-  in
+  let run config = Harness.captive ~config (Harness.user user) in
   let code_p, e_p = run CE.default_config in
   let code_n, _ = run { CE.default_config with promote = false } in
   let code_u, _ = run { CE.default_config with tiering = false } in
   let expect = (iters + 5 + iters) land 0xFF in
-  Alcotest.(check int) "faults counted and increments preserved" expect code_p;
-  Alcotest.(check int) "promotion-off agrees" code_n code_p;
-  Alcotest.(check int) "tier-0 agrees" code_u code_p;
+  Alcotest.check Harness.exit_t "faults counted and increments preserved"
+    (Workloads.Runner.Poweroff expect) code_p;
+  Alcotest.check Harness.exit_t "promotion-off agrees" code_n code_p;
+  Alcotest.check Harness.exit_t "tier-0 agrees" code_u code_p;
   Alcotest.(check bool) "a region was entered" true (e_p.CE.stats.CE.region_entries > 0);
   Alcotest.(check bool) "registers were promoted" true (e_p.CE.stats.CE.rf_promoted > 0);
   Alcotest.(check bool) "faults were delivered" true

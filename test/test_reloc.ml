@@ -272,17 +272,6 @@ let mk_entry () =
     e_hash = R.hash64 code
   }
 
-let temp_dir () =
-  let f = Filename.temp_file "captive_aot_test" "" in
-  Sys.remove f;
-  f
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 let test_aotcache_roundtrip () =
   let e = mk_entry () in
   let buf = Buffer.create 64 in
@@ -308,10 +297,7 @@ let test_aotcache_corruption () =
   | exception AC.Malformed _ -> ()
 
 let test_aotcache_store_reload () =
-  let dir = temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  Harness.with_temp_dir (fun dir ->
       let t = AC.open_dir dir in
       Alcotest.(check int) "fresh cache is empty" 0 (AC.entry_count t);
       let e = mk_entry () in
@@ -342,21 +328,13 @@ let test_aotcache_store_reload () =
 (* --- warm boot: the payoff, in miniature -------------------------------------- *)
 
 let test_aot_warm_boot () =
-  let dir = temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  Harness.with_temp_dir (fun dir ->
       let config = { CE.default_config with CE.aot_dir = Some dir } in
-      let boot () =
-        let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-        K.install (K.captive_target e) ~user:(MS.arm_user ());
-        let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-        (e, code)
-      in
-      let e_c, code_c = boot () in
-      let e_w, code_w = boot () in
-      Alcotest.(check int) "cold exit" MS.arm_expected_exit code_c;
-      Alcotest.(check int) "warm exit" MS.arm_expected_exit code_w;
+      let code_c, e_c = Harness.workload ~config "armv8-a-mmu" in
+      let code_w, e_w = Harness.workload ~config "armv8-a-mmu" in
+      let expected = Workloads.Runner.Poweroff MS.arm_expected_exit in
+      Alcotest.check Harness.exit_t "cold exit" expected code_c;
+      Alcotest.check Harness.exit_t "warm exit" expected code_w;
       (* Where the code came from must be invisible to the guest. *)
       Alcotest.(check int) "guest execution cycles bit-identical"
         (CE.exec_cycles e_c) (CE.exec_cycles e_w);
@@ -388,9 +366,7 @@ let first_block_user ~nr =
   A.assemble a
 
 let boot_user ?aot_dir user =
-  let e = CE.create ~config:{ CE.default_config with CE.aot_dir } (Guest_arm.Arm.ops ()) in
-  K.install (K.captive_target e) ~user;
-  let code = match CE.run ~max_cycles:100_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  let code, e = Harness.captive ~config:{ CE.default_config with CE.aot_dir } (Harness.user user) in
   (e, code)
 
 (* Cut every stored block entry of the user entry point down to its
@@ -416,19 +392,17 @@ let truncate_entry_block dir =
   !truncated
 
 let test_aot_short_guest_span () =
-  let dir = temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  Harness.with_temp_dir (fun dir ->
       let _, code = boot_user ~aot_dir:dir (first_block_user ~nr:1) in
-      Alcotest.(check int) "original image exits 0" 0 code;
+      Alcotest.check Harness.exit_t "original image exits 0" (Workloads.Runner.Poweroff 0) code;
       Alcotest.(check bool) "entry block stored and truncated" true (truncate_entry_block dir > 0);
       let rewritten = first_block_user ~nr:0 in
       let e_cold, code_cold = boot_user rewritten in
       let e_warm, code_warm = boot_user ~aot_dir:dir rewritten in
-      Alcotest.(check int) "rewritten image exits 65" 65 code_cold;
+      Alcotest.check Harness.exit_t "rewritten image exits 65" (Workloads.Runner.Poweroff 65)
+        code_cold;
       Alcotest.(check bool) "short entry rejected" true (e_warm.CE.stats.CE.aot_rejects > 0);
-      Alcotest.(check int) "warm exit = cold exit" code_cold code_warm;
+      Alcotest.check Harness.exit_t "warm exit = cold exit" code_cold code_warm;
       Alcotest.(check string) "warm uart = cold uart" (CE.uart_output e_cold)
         (CE.uart_output e_warm))
 
@@ -448,9 +422,7 @@ let test_findings_log () =
 
 (* The ARM MMU-stress workload at O4 under one checker configuration. *)
 let boot_checked config =
-  let e = CE.create ~config (Guest_arm.Arm.ops ~opt_level:4 ()) in
-  K.install (K.captive_target e) ~user:(MS.arm_user ());
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  let code, e = Harness.workload ~config ~opt_level:4 "armv8-a-mmu" in
   (e, code)
 
 (* One engine with Equiv, the Absint obligations and Reloc all on must
@@ -462,9 +434,9 @@ let test_checkers_together () =
     boot_checked
       { c with CE.validate_translations = true; analyze_translations = true; reloc_check = true }
   in
-  Alcotest.(check int) "exit code" MS.arm_expected_exit code;
+  Alcotest.check Harness.exit_t "exit code" (Workloads.Runner.Poweroff MS.arm_expected_exit) code;
   let same_run what (e, code') =
-    Alcotest.(check int) (what ^ ": exit code") code code';
+    Alcotest.check Harness.exit_t (what ^ ": exit code") code code';
     Alcotest.(check int) (what ^ ": cycles") (CE.cycles all) (CE.cycles e);
     Alcotest.(check int) (what ^ ": exec cycles") (CE.exec_cycles all) (CE.exec_cycles e)
   in

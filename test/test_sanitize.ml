@@ -162,54 +162,44 @@ let smc_stale_tlb_image () =
   A.b a "hang";
   A.assemble a
 
-let run_arm_stress config =
-  let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-  K.install (K.captive_target e) ~user:(MS.arm_user ());
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  (e, code)
+let run_arm_stress config = Harness.workload ~config "armv8-a-mmu"
 
-let test_smc_stale_tlb_regression () =
-  let image = smc_stale_tlb_image () in
-  let e = CE.create ~config:sanitized_config (Guest_arm.Arm.ops ()) in
-  CE.load_image e ~addr:0x80000L image;
-  CE.set_entry e 0x80000L;
-  let code = match CE.run ~max_cycles:100_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  Alcotest.(check int) "patched snippet returns 2 on the second call" 3 code;
-  CE.sanitize_check e ~reason:"final";
-  let s = sanitizer_of e in
-  List.iter (fun f -> print_endline (San.string_of_finding f)) (San.findings s);
-  Alcotest.(check bool) "no sanitizer findings" true (San.ok s)
-
-let test_sanitized_arm_stress () =
-  let e, code = run_arm_stress sanitized_config in
-  Alcotest.(check int) "arm stress exit" MS.arm_expected_exit code;
-  Alcotest.(check string) "uart output" "mmu" (CE.uart_output e);
+(* One final sweep, then no finding may stand. *)
+let check_clean e =
   CE.sanitize_check e ~reason:"final";
   let s = sanitizer_of e in
   List.iter (fun f -> print_endline (San.string_of_finding f)) (San.findings s);
   Alcotest.(check bool) "no sanitizer findings" true (San.ok s);
+  s
+
+let test_smc_stale_tlb_regression () =
+  let code, e = Harness.captive ~config:sanitized_config (Harness.bare (smc_stale_tlb_image ())) in
+  Alcotest.check Harness.exit_t "patched snippet returns 2 on the second call"
+    (Workloads.Runner.Poweroff 3) code;
+  ignore (check_clean e)
+
+let test_sanitized_arm_stress () =
+  let code, e = run_arm_stress sanitized_config in
+  Alcotest.check Harness.exit_t "arm stress exit" (Workloads.Runner.Poweroff MS.arm_expected_exit)
+    code;
+  Alcotest.(check string) "uart output" "mmu" (CE.uart_output e);
+  let s = check_clean e in
   Alcotest.(check bool) "checkpoints happened" true
     (Dbt_util.Stats.Counters.get (San.counters s) "checkpoints" > 5)
 
 let test_sanitized_riscv_stress () =
-  let e = CE.create ~config:sanitized_config (Guest_riscv.Riscv.ops ()) in
-  CE.load_image e ~addr:MS.riscv_entry (MS.riscv_image ());
-  CE.set_entry e MS.riscv_entry;
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  Alcotest.(check int) "riscv stress exit" MS.riscv_expected_exit code;
-  CE.sanitize_check e ~reason:"final";
-  let s = sanitizer_of e in
-  List.iter (fun f -> print_endline (San.string_of_finding f)) (San.findings s);
-  Alcotest.(check bool) "no sanitizer findings" true (San.ok s)
+  let code, e = Harness.workload ~config:sanitized_config "rv64im-mmu" in
+  Alcotest.check Harness.exit_t "riscv stress exit"
+    (Workloads.Runner.Poweroff MS.riscv_expected_exit) code;
+  ignore (check_clean e)
 
 (* The sanitizer must be observation-free: identical cycle counts and
    exit codes with it on and off (it charges no cycles and never goes
    through the counted TLB/memory paths). *)
 let test_sanitizer_observation_free () =
-  let _, code_on = run_arm_stress sanitized_config
-  and e_on, _ = run_arm_stress sanitized_config in
-  let e_off, code_off = run_arm_stress CE.default_config in
-  Alcotest.(check int) "same exit code" code_off code_on;
+  let code_on, e_on = run_arm_stress sanitized_config in
+  let code_off, e_off = run_arm_stress CE.default_config in
+  Alcotest.check Harness.exit_t "same exit code" code_off code_on;
   Alcotest.(check int) "same cycle count" (CE.cycles e_off) (CE.cycles e_on)
 
 let suite =

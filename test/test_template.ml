@@ -5,29 +5,9 @@
    per-tier cycle ledgers consistent, and must persist/reload its
    blocks through the kind-2 AOT path without changing behaviour. *)
 
-module A = Guest_arm.Arm_asm
-module CE = Captive.Engine
+open Harness
 
-let guest () = Guest_arm.Arm.ops ()
-
-let syscon = 0x0930_0000L
-let uart = 0x0910_0000L
-
-let bare_metal body =
-  let a = A.create ~base:0x80000L () in
-  body a;
-  A.mov_const a A.x25 syscon;
-  A.str a A.x0 A.x25;
-  A.label a "__hang";
-  A.b a "__hang";
-  A.assemble a
-
-let run ?config image =
-  let e = CE.create ?config (guest ()) in
-  CE.load_image e ~addr:0x80000L image;
-  CE.set_entry e 0x80000L;
-  let code = match CE.run ~max_cycles:200_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  (code, e)
+let run ?config image = captive ?config (bare image)
 
 (* With the threshold unreachable every block stays in its install tier:
    template stitching on the left, the full cold pipeline on the right.
@@ -90,37 +70,16 @@ let random_program seed =
   A.subs_imm a A.x19 A.x19 1;
   A.cbnz a A.x19 "loop";
   (* dump x0..x7 and the flags so the final register file is observed *)
-  A.mov_const a A.x21 0x300000L;
-  for i = 0 to 7 do
-    A.str ~off:(8 * i) a i A.x21
-  done;
-  A.cset a A.x22 A.EQ;
-  A.cset a A.x23 A.CS;
-  A.str ~off:64 a A.x22 A.x21;
-  A.str ~off:72 a A.x23 A.x21;
-  A.mov_const a A.x28 syscon;
-  A.str a A.xzr A.x28;
-  A.label a "hang";
-  A.b a "hang";
-  A.assemble a
-
-let dump mem = List.init 10 (fun i -> Hvm.Mem.read64 mem (Int64.of_int (0x300000 + (8 * i))))
+  dump_and_halt a ~regs:8 ~flags:[ A.EQ; A.CS ]
 
 let prop_template_vs_pipeline =
   QCheck2.Test.make ~name:"random decode fields: template tier = tier-0 pipeline" ~count:20
     QCheck2.Gen.int64 (fun seed ->
-      let image = random_program seed in
-      let run_dump config =
-        let e = CE.create ~config (guest ()) in
-        CE.load_image e ~addr:0x80000L image;
-        CE.set_entry e 0x80000L;
-        match CE.run ~max_cycles:100_000_000 e with
-        | CE.Poweroff c -> (c, dump e.CE.machine.Hvm.Machine.mem, CE.uart_output e, e)
-        | _ -> (-1, [], "", e)
-      in
-      let c_t, d_t, u_t, e_t = run_dump template_only in
-      let c_p, d_p, u_p, e_p = run_dump pipeline_only in
-      d_t <> [] && c_t = c_p && d_t = d_p && u_t = u_p
+      let image = bare (random_program seed) in
+      let o_t = Harness.run (R.Captive template_only) image in
+      let o_p = Harness.run (R.Captive pipeline_only) image in
+      let d_t = dump 10 o_t and e_t = R.captive_of o_t and e_p = R.captive_of o_p in
+      d_t <> [] && o_t.R.exit = o_p.R.exit && d_t = dump 10 o_p && o_t.R.uart = o_p.R.uart
       && e_t.CE.stats.CE.template_blocks > 0
       (* the guest retires the same work either way *)
       && e_t.CE.stats.CE.blocks_executed = e_p.CE.stats.CE.blocks_executed)
@@ -158,11 +117,11 @@ let smc_image () =
 let test_smc_demotes_template_block () =
   let image = smc_image () in
   let code, e = run ~config:template_only image in
-  Alcotest.(check int) "patched snippet observed (8*1 + 8*2)" 24 code;
+  Alcotest.check exit_t "patched snippet observed (8*1 + 8*2)" (R.Poweroff 24) code;
   Alcotest.(check bool) "snippet was template-installed" true (e.CE.stats.CE.template_blocks > 0);
   Alcotest.(check bool) "SMC invalidation fired" true (e.CE.stats.CE.smc_invalidations > 0);
   let code_p, _ = run ~config:pipeline_only image in
-  Alcotest.(check int) "pipeline-only agrees" code_p code
+  Alcotest.check exit_t "pipeline-only agrees" code_p code
 
 (* Promotion interplay: with a reachable threshold, template-installed
    blocks must still get promoted and the hot loop must still form a
@@ -172,8 +131,8 @@ let test_template_promotion () =
   let config = { CE.default_config with templates = true; hot_threshold = 8 } in
   let code, e = run ~config image in
   let code_p, _ = run ~config:{ config with templates = false } image in
-  Alcotest.(check int) "exit matches pipeline-only" code_p code;
-  Alcotest.(check int) "loop counted to completion" (2000 land 0xFF) code;
+  Alcotest.check exit_t "exit matches pipeline-only" code_p code;
+  Alcotest.check exit_t "loop counted to completion" (R.Poweroff (2000 land 0xFF)) code;
   Alcotest.(check bool) "cold blocks came from templates" true (e.CE.stats.CE.template_blocks > 0);
   Alcotest.(check int) "exactly one promotion" 1 e.CE.stats.CE.promotions;
   Alcotest.(check int) "exactly one region formed" 1 e.CE.stats.CE.regions_formed;
@@ -184,7 +143,7 @@ let test_template_promotion () =
 let test_template_counters () =
   let image = counted_loop 64 in
   let code, e = run ~config:template_only image in
-  Alcotest.(check int) "exit" 64 code;
+  Alcotest.check exit_t "exit" (R.Poweroff 64) code;
   let s = e.CE.stats in
   Alcotest.(check bool) "template blocks installed" true (s.CE.template_blocks > 0);
   Alcotest.(check int) "no template misses on covered forms" 0 s.CE.template_misses;
@@ -212,29 +171,15 @@ let test_template_counters () =
 
 (* Kind-2 AOT round trip: a cold boot persists template blocks, a warm
    boot reinstalls them (aot_hits) with identical observable behaviour. *)
-let temp_dir () =
-  let f = Filename.temp_file "captive_tmpl_test" "" in
-  Sys.remove f;
-  f
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
 let test_template_aot_roundtrip () =
-  let dir = temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  Harness.with_temp_dir (fun dir ->
       let config = { template_only with CE.aot_dir = Some dir } in
       let image = counted_loop 64 in
       let code_cold, e_cold = run ~config image in
-      Alcotest.(check int) "cold exit" 64 code_cold;
+      Alcotest.check exit_t "cold exit" (R.Poweroff 64) code_cold;
       Alcotest.(check bool) "cold boot stored entries" true (e_cold.CE.stats.CE.aot_stores > 0);
       let code_warm, e_warm = run ~config image in
-      Alcotest.(check int) "warm exit" 64 code_warm;
+      Alcotest.check exit_t "warm exit" (R.Poweroff 64) code_warm;
       Alcotest.(check bool) "warm boot hit the cache" true (e_warm.CE.stats.CE.aot_hits > 0);
       Alcotest.(check bool)
         "warm template installs are cheaper than cold" true

@@ -4,28 +4,9 @@
    randomised property checks region units are observationally equivalent
    to per-block translation. *)
 
-module A = Guest_arm.Arm_asm
-module CE = Captive.Engine
+open Harness
 
-let guest () = Guest_arm.Arm.ops ()
-
-let syscon = 0x0930_0000L
-
-let bare_metal body =
-  let a = A.create ~base:0x80000L () in
-  body a;
-  A.mov_const a A.x25 syscon;
-  A.str a A.x0 A.x25;
-  A.label a "__hang";
-  A.b a "__hang";
-  A.assemble a
-
-let run ?config image =
-  let e = CE.create ?config (guest ()) in
-  CE.load_image e ~addr:0x80000L image;
-  CE.set_entry e 0x80000L;
-  let code = match CE.run ~max_cycles:200_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  (code, e)
+let run ?config image = captive ?config (bare image)
 
 let untiered = { CE.default_config with tiering = false }
 
@@ -45,8 +26,8 @@ let test_promotion_exactly_once () =
   let config = { CE.default_config with hot_threshold = 8 } in
   let code, e = run ~config image in
   let code_u, _ = run ~config:untiered image in
-  Alcotest.(check int) "tiered exit matches untiered" code_u code;
-  Alcotest.(check int) "loop counted to completion" (2000 land 0xFF) code;
+  Alcotest.check exit_t "tiered exit matches untiered" code_u code;
+  Alcotest.check exit_t "loop counted to completion" (R.Poweroff (2000 land 0xFF)) code;
   (* Only the loop body crosses the threshold, and once promoted its
      tier-1 region must never be re-promoted. *)
   Alcotest.(check int) "exactly one promotion" 1 e.CE.stats.CE.promotions;
@@ -90,13 +71,13 @@ let test_smc_invalidates_region () =
   let image = smc_image () in
   let config = { CE.default_config with hot_threshold = 2 } in
   let code, e = run ~config image in
-  Alcotest.(check int) "patched snippet observed hot (8*1 + 8*2)" 24 code;
+  Alcotest.check exit_t "patched snippet observed hot (8*1 + 8*2)" (R.Poweroff 24) code;
   Alcotest.(check bool) "SMC invalidation fired" true (e.CE.stats.CE.smc_invalidations > 0);
   Alcotest.(check bool)
     "demoted code re-promoted after the patch" true
     (e.CE.stats.CE.promotions >= 2);
   let code_u, _ = run ~config:untiered image in
-  Alcotest.(check int) "untiered agrees" code_u code
+  Alcotest.check exit_t "untiered agrees" code_u code
 
 let test_smc_reanalysis () =
   (* Staleness audit for the analysis layer: abstract facts are consumed
@@ -109,7 +90,7 @@ let test_smc_reanalysis () =
     { CE.default_config with hot_threshold = 2; analyze_translations = true }
   in
   let code, e = run ~config (smc_image ()) in
-  Alcotest.(check int) "exit unchanged under analysis" 24 code;
+  Alcotest.check exit_t "exit unchanged under analysis" (R.Poweroff 24) code;
   Alcotest.(check bool) "SMC invalidation fired" true (e.CE.stats.CE.smc_invalidations > 0);
   Alcotest.(check bool) "re-formed region re-analyzed" true (e.CE.stats.CE.regions_analyzed >= 2);
   Alcotest.(check bool) "tier-0 blocks analyzed" true (e.CE.stats.CE.blocks_analyzed > 0);
@@ -129,7 +110,7 @@ let test_tier0_cycle_identity () =
   in
   let code_c, e_c = run ~config:cold image in
   let code_u, e_u = run ~config:untiered image in
-  Alcotest.(check int) "exit codes agree" code_u code_c;
+  Alcotest.check exit_t "exit codes agree" code_u code_c;
   Alcotest.(check int)
     "cycle-identical when no block ever gets hot"
     (CE.cycles e_u) (CE.cycles e_c);
@@ -176,38 +157,17 @@ let random_loop_program seed =
   A.subs_imm a A.x19 A.x19 1;
   A.cbnz a A.x19 "loop";
   (* dump x0..x7 *)
-  A.mov_const a A.x21 0x300000L;
-  for i = 0 to 7 do
-    A.str ~off:(8 * i) a i A.x21
-  done;
-  A.cset a A.x22 A.EQ;
-  A.cset a A.x23 A.CS;
-  A.str ~off:64 a A.x22 A.x21;
-  A.str ~off:72 a A.x23 A.x21;
-  A.mov_const a A.x28 syscon;
-  A.str a A.xzr A.x28;
-  A.label a "hang";
-  A.b a "hang";
-  A.assemble a
-
-let dump mem = List.init 10 (fun i -> Hvm.Mem.read64 mem (Int64.of_int (0x300000 + (8 * i))))
+  dump_and_halt a ~regs:8 ~flags:[ A.EQ; A.CS ]
 
 let prop_region_vs_block =
   QCheck2.Test.make ~name:"random hot loops: region unit = per-block translation" ~count:20
     QCheck2.Gen.int64 (fun seed ->
-      let image = random_loop_program seed in
+      let image = bare (random_loop_program seed) in
       let hot = { CE.default_config with hot_threshold = 2 } in
-      let run_dump config =
-        let e = CE.create ~config (guest ()) in
-        CE.load_image e ~addr:0x80000L image;
-        CE.set_entry e 0x80000L;
-        match CE.run ~max_cycles:100_000_000 e with
-        | CE.Poweroff _ -> (dump e.CE.machine.Hvm.Machine.mem, e)
-        | _ -> ([], e)
-      in
-      let d_t, e_t = run_dump hot in
-      let d_u, _ = run_dump untiered in
-      d_t <> [] && d_t = d_u && e_t.CE.stats.CE.regions_formed >= 1)
+      let o_t = Harness.run (R.Captive hot) image in
+      let o_u = Harness.run (R.Captive untiered) image in
+      let d_t = dump 10 o_t in
+      d_t <> [] && d_t = dump 10 o_u && (R.captive_of o_t).CE.stats.CE.regions_formed >= 1)
 
 let suite =
   ( "tiered",

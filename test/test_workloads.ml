@@ -3,30 +3,24 @@
 
 module A = Guest_arm.Arm_asm
 module K = Workloads.Kernel
-module RE = Captive.Reference
+module Run = Workloads.Runner
+module W = Workloads.Registry
 module R = Guest_riscv.Rv_asm
 
 let run_user_ref user =
-  let r = RE.create (Guest_arm.Arm.ops ()) in
-  K.install (K.reference_target r) ~user;
-  let code = match RE.run ~max_instrs:20_000_000 r with RE.Poweroff c -> c | _ -> -1 in
-  (code, RE.uart_output r)
-
-let user body =
-  let a = A.create ~base:K.user_va () in
-  body a;
-  A.assemble a
+  let o = Harness.run Run.Reference (Harness.user user) in
+  (o.Run.exit, o.Run.uart)
 
 let test_syscall_surface () =
   (* exit code propagation *)
-  let code, _ = run_user_ref (user (fun a ->
+  let code, _ = run_user_ref (Harness.el0_program (fun a ->
       A.movz a A.x0 123;
       A.movz a A.x8 0;
       A.svc a 0))
   in
-  Alcotest.(check int) "exit code" 123 code;
+  Alcotest.check Harness.exit_t "exit code" (Run.Poweroff 123) code;
   (* putchar ordering *)
-  let _, out = run_user_ref (user (fun a ->
+  let _, out = run_user_ref (Harness.el0_program (fun a ->
       List.iter
         (fun c ->
           A.movz a A.x0 (Char.code c);
@@ -39,7 +33,7 @@ let test_syscall_surface () =
   in
   Alcotest.(check string) "uart" "abc" out;
   (* uptime is monotone *)
-  let code, _ = run_user_ref (user (fun a ->
+  let code, _ = run_user_ref (Harness.el0_program (fun a ->
       A.movz a A.x8 2;
       A.svc a 0;
       A.mov_reg a A.x19 A.x0;
@@ -50,17 +44,17 @@ let test_syscall_surface () =
       A.movz a A.x8 0;
       A.svc a 0))
   in
-  Alcotest.(check int) "uptime monotone" 1 code;
+  Alcotest.check Harness.exit_t "uptime monotone" (Run.Poweroff 1) code;
   (* unknown syscall kills the task with 99 *)
-  let code, _ = run_user_ref (user (fun a ->
+  let code, _ = run_user_ref (Harness.el0_program (fun a ->
       A.movz a A.x8 77;
       A.svc a 0))
   in
-  Alcotest.(check int) "unknown syscall" 99 code
+  Alcotest.check Harness.exit_t "unknown syscall" (Run.Poweroff 99) code
 
 let test_fault_counters () =
   (* three data aborts, each skipped, then reported *)
-  let code, _ = run_user_ref (user (fun a ->
+  let code, _ = run_user_ref (Harness.el0_program (fun a ->
       A.mov_const a A.x1 0x0070_0000L;
       A.ldr a A.x2 A.x1;
       A.ldr a A.x2 A.x1;
@@ -70,11 +64,11 @@ let test_fault_counters () =
       A.movz a A.x8 0;
       A.svc a 0))
   in
-  Alcotest.(check int) "fault count" 3 code
+  Alcotest.check Harness.exit_t "fault count" (Run.Poweroff 3) code
 
 let test_user_cannot_write_kernel () =
   (* stores to kernel memory must not land *)
-  let code, _ = run_user_ref (user (fun a ->
+  let code, _ = run_user_ref (Harness.el0_program (fun a ->
       A.mov_const a A.x1 (K.kva 0x83000L);
       A.mov_const a A.x2 0xFFL;
       A.str a A.x2 A.x1; (* faults, skipped *)
@@ -85,35 +79,38 @@ let test_user_cannot_write_kernel () =
       A.svc a 0))
   in
   (* the tick counter must not have become 0xFF *)
-  Alcotest.(check bool) "kernel data intact" true (code <> 0xFF)
+  Alcotest.(check bool) "kernel data intact" true (code <> Run.Poweroff 0xFF)
 
 let test_spec_builders () =
   (* every proxy must assemble and keep its labels resolvable at several
-     scales *)
+     scales; a scale below 1 would make its loops wrap *)
   List.iter
     (fun (b : Workloads.Spec.benchmark) ->
       List.iter
         (fun scale ->
           let img = b.Workloads.Spec.build ~scale in
           Alcotest.(check bool) (b.Workloads.Spec.name ^ " builds") true (Bytes.length img > 64))
-        [ 1; 3 ])
+        [ 1; 3 ];
+      match b.Workloads.Spec.build ~scale:0 with
+      | _ -> Alcotest.failf "%s built at scale 0" b.Workloads.Spec.name
+      | exception Invalid_argument _ -> ())
     Workloads.Spec.all
 
 let test_simbench_builders () =
   List.iter
-    (fun (b : Simbench.bench) ->
-      Alcotest.(check bool) (b.Simbench.name ^ " builds") true (Bytes.length b.Simbench.image > 16))
-    (Simbench.all ())
+    (fun (w : W.entry) ->
+      let size = function
+        | Run.Bare { code; _ } -> Bytes.length code
+        | Run.User { user; _ } -> Bytes.length user
+      in
+      Alcotest.(check bool) (w.W.name ^ " builds") true (size (w.W.build ~scale:1) > 16))
+    (W.select [ W.Simbench ])
 
 (* --- RISC-V ------------------------------------------------------------------ *)
 
-let run_rv image =
-  let e = Captive.Engine.create (Guest_riscv.Riscv.ops ()) in
-  Captive.Engine.load_image e ~addr:0x1000L image;
-  Captive.Engine.set_entry e 0x1000L;
-  match Captive.Engine.run ~max_cycles:100_000_000 e with
-  | Captive.Engine.Poweroff c -> (c, Captive.Engine.uart_output e)
-  | _ -> (-1, "")
+let run_rv ?(engine = Run.captive) image =
+  let o = Harness.run ~guest:Run.Riscv engine (Run.Bare { addr = 0x1000L; code = image }) in
+  (o.Run.exit, o.Run.uart)
 
 let rv_exit_with body =
   let a = R.create ~base:0x1000L () in
@@ -133,7 +130,7 @@ let test_riscv_semantics () =
       R.slli a R.t0 R.a0 4; (* 32 *)
       R.add a R.a0 R.a0 R.t0 (* 34 *)))
   in
-  Alcotest.(check int) "rv arith" 34 code;
+  Alcotest.check Harness.exit_t "rv arith" (Run.Poweroff 34) code;
   (* memory *)
   let code, _ = run_rv (rv_exit_with (fun a ->
       R.li a R.s2 0x40000L;
@@ -144,7 +141,7 @@ let test_riscv_semantics () =
       R.sub a R.a0 R.t1 R.t0;
       R.add a R.a0 R.a0 R.t2))
   in
-  Alcotest.(check int) "rv memory" 0x12 code;
+  Alcotest.check Harness.exit_t "rv memory" (Run.Poweroff 0x12) code;
   (* branches and jal *)
   let code, _ = run_rv (rv_exit_with (fun a ->
       R.li a R.t0 5L;
@@ -162,7 +159,7 @@ let test_riscv_semantics () =
       R.i_type ~imm:0 ~rs1:R.ra ~funct3:0 ~rd:0 ~opcode:0b1100111 a;
       R.label a "end"))
   in
-  Alcotest.(check int) "rv branches" 115 code
+  Alcotest.check Harness.exit_t "rv branches" (Run.Poweroff 115) code
 
 let test_riscv_engines_agree () =
   let image = rv_exit_with (fun a ->
@@ -173,16 +170,9 @@ let test_riscv_engines_agree () =
       R.srli a R.a0 R.t2 8)
   in
   let c, _ = run_rv image in
-  let q =
-    let e = Qemu_ref.Qemu_engine.create (Guest_riscv.Riscv.ops ()) in
-    Qemu_ref.Qemu_engine.load_image e ~addr:0x1000L image;
-    Qemu_ref.Qemu_engine.set_entry e 0x1000L;
-    match Qemu_ref.Qemu_engine.run ~max_cycles:100_000_000 e with
-    | Qemu_ref.Qemu_engine.Poweroff c -> c
-    | _ -> -1
-  in
-  Alcotest.(check int) "rv engines agree" c q;
-  Alcotest.(check bool) "rv ran" true (c >= 0)
+  let q, _ = run_rv ~engine:Run.qemu image in
+  Alcotest.check Harness.exit_t "rv engines agree" c q;
+  Alcotest.(check bool) "rv ran" true (c <> Run.Limit)
 
 let suite =
   ( "workloads",
