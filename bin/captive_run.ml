@@ -197,7 +197,7 @@ let ssa_cmd =
     let model =
       match guest with
       | "armv8-a" -> Guest_arm.Arm.model_at_level level
-      | "rv64im" -> Ssa.Offline.build ~opt_level:level Guest_riscv.Riscv_descr.source
+      | "rv64im" -> Guest_riscv.Riscv.model_at_level level
       | g -> failwith ("unknown guest " ^ g)
     in
     match Hashtbl.find_opt model.Ssa.Offline.actions insn with
@@ -626,13 +626,18 @@ let bench_gain_pct ~untiered ~tiered =
    e.g. the analysis phase is attributable from the JSON alone.  The
    baseline gate itself reads only captive_cycles, speedup and
    translate_cpgi.  The translate ledger and wall timers are split per
-   tier: template (tier minus one) vs pipeline (tier 0 + regions). *)
-let bench_row_json name ~exit_ok (e : CE.t) (u : CE.t) ~qemu =
+   tier: template (tier minus one) vs pipeline (tier 0 + regions).  The
+   host columns are the other clock, ungated because wall time is noisy:
+   the tiered run's wall milliseconds (engine creation, image load and
+   run), host instructions executed per wall second, and minor-heap words
+   allocated per host instruction. *)
+let bench_row_json name ~exit_ok (e : CE.t) (u : CE.t) ~qemu ~wall_s ~minor_words =
   let s = e.CE.stats in
   let tiered = CE.cycles e and untiered = CE.cycles u in
   let ms t = 1000. *. t in
+  let host_instrs = float_of_int e.CE.ctx.Hostir.Exec.instrs_executed in
   Printf.sprintf
-    "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f,\"resident_kb\":%d}"
+    "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f,\"resident_kb\":%d,\"host_wall_ms\":%.2f,\"host_instrs_per_s\":%.0f,\"minor_words_per_host_instr\":%.3f}"
     (Dbt_util.Stats.json_string name)
     exit_ok tiered (CE.exec_cycles e) (CE.jit_cycles e) (CE.async_jit_cycles e) untiered qemu
     (bench_speedup ~qemu ~tiered) (bench_gain_pct ~untiered ~tiered)
@@ -647,6 +652,7 @@ let bench_row_json name ~exit_ok (e : CE.t) (u : CE.t) ~qemu =
     (ms s.CE.t_translate) (ms s.CE.t_template) (ms s.CE.t_tier0) (ms s.CE.t_region)
     (ms s.CE.t_regalloc) (ms s.CE.t_encode) (ms s.CE.t_validate) (ms s.CE.t_analyze)
     (4 * Hvm.Mem.resident_frames e.CE.machine.Hvm.Machine.mem)
+    (ms wall_s) (host_instrs /. Float.max wall_s 1e-9) (minor_words /. Float.max host_instrs 1.)
 
 (* One workload on the three engines: tiered Captive (with this run's
    domains and hot threshold), tier-0-only Captive and the QEMU-style
@@ -658,7 +664,11 @@ let bench_run_one ~scale ~domains ?hot_threshold (w : W.entry) : bench_row =
       hot_threshold = Option.value hot_threshold ~default:CE.default_config.CE.hot_threshold;
     }
   in
+  (* the guest model is built once per process; keep it out of the timing *)
+  ignore (R.ops w.W.guest);
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   let t = W.boot ~scale (R.Captive tiered) w in
+  let wall_s = Unix.gettimeofday () -. t0 and minor_words = Gc.minor_words () -. w0 in
   let u = W.boot ~scale (R.Captive { CE.default_config with CE.tiering = false }) w in
   let q = W.boot ~scale R.qemu w in
   let e = R.captive_of t in
@@ -672,7 +682,8 @@ let bench_run_one ~scale ~domains ?hot_threshold (w : W.entry) : bench_row =
     br_exec = CE.exec_cycles e;
     br_jit = CE.jit_cycles e;
     br_stats = e.CE.stats;
-    br_json = bench_row_json w.W.name ~exit_ok e (R.captive_of u) ~qemu:q.R.cycles;
+    br_json =
+      bench_row_json w.W.name ~exit_ok e (R.captive_of u) ~qemu:q.R.cycles ~wall_s ~minor_words;
   }
 
 (* Parse a committed baseline: one flat JSON object per line, keyed by

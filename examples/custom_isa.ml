@@ -92,13 +92,14 @@ let () =
       Ssa.Gen.translate (Hostir.Dag.emitter dag) action ~field ~inc_pc:inc;
       Hostir.Dag.raw dag (Hostir.Hir.Exit 0);
       let ra = Hostir.Regalloc.run (Hostir.Dag.finish dag) in
-      Hostir.Encode.decode_program ~n_slots:ra.Hostir.Regalloc.n_slots (Hostir.Encode.encode ra)
+      Hostir.Exec.compile
+        (Hostir.Encode.decode_program ~n_slots:ra.Hostir.Regalloc.n_slots (Hostir.Encode.encode ra))
   in
   let code = Array.of_list (List.map translate program) in
   print_endline "\nexecuting through the host backend:";
   (try
      while true do
-       let idx = Int64.to_int ctx.Hostir.Exec.pc / 4 in
+       let idx = Int64.to_int (Hostir.Exec.pc ctx) / 4 in
        ignore (Hostir.Exec.run ctx code.(idx))
      done
    with Hvm.Machine.Powered_off _ -> ());

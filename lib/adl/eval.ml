@@ -91,22 +91,10 @@ let builtin name (args : int64 list) : int64 option =
     Some
       (w32 (if b = 0L then 0L else if a = -2147483648L && b = -1L then -2147483648L else Int64.div a b))
   | "select", [ c; a; b ] -> Some (if c <> 0L then a else b)
-  | "add_flags64", [ a; b; cin ] ->
-    let r, c, v = Bits.add_with_carry a b (cin <> 0L) in
-    let n = if r < 0L then 8L else 0L in
-    let z = if r = 0L then 4L else 0L in
-    Some (Int64.logor (Int64.logor n z) (Int64.logor (if c then 2L else 0L) (if v then 1L else 0L)))
-  | "add_flags32", [ a; b; cin ] ->
-    let r, c, v = Bits.add_with_carry ~width:32 a b (cin <> 0L) in
-    let n = if Bits.bit r 31 then 8L else 0L in
-    let z = if Bits.zero_extend r ~width:32 = 0L then 4L else 0L in
-    Some (Int64.logor (Int64.logor n z) (Int64.logor (if c then 2L else 0L) (if v then 1L else 0L)))
-  | "adc64", [ a; b; cin ] ->
-    let r, _, _ = Bits.add_with_carry a b (cin <> 0L) in
-    Some r
-  | "adc32", [ a; b; cin ] ->
-    let r, _, _ = Bits.add_with_carry ~width:32 a b (cin <> 0L) in
-    Some r
+  | "add_flags64", [ a; b; cin ] -> Some (Bits.add_nzcv a b (cin <> 0L))
+  | "add_flags32", [ a; b; cin ] -> Some (Bits.add_nzcv ~width:32 a b (cin <> 0L))
+  | "adc64", [ a; b; cin ] -> Some (Bits.add_with_carry a b (cin <> 0L))
+  | "adc32", [ a; b; cin ] -> Some (Bits.add_with_carry ~width:32 a b (cin <> 0L))
   | "logic_flags64", [ r ] ->
     Some (Int64.logor (if r < 0L then 8L else 0L) (if r = 0L then 4L else 0L))
   | "logic_flags32", [ r ] ->

@@ -11,8 +11,8 @@ let sys_ctx (guest : Ops.ops) (ctx : Exec.ctx) : Ops.sys_ctx =
     write_reg = (fun slot v -> Exec.rf_write ctx (guest.Ops.slot_offset slot) v);
     read_bank = (fun bank i -> Exec.rf_read ctx (guest.Ops.bank_offset ~bank ~index:i));
     write_bank = (fun bank i v -> Exec.rf_write ctx (guest.Ops.bank_offset ~bank ~index:i) v);
-    get_pc = (fun () -> ctx.Exec.pc);
-    set_pc = (fun v -> ctx.Exec.pc <- v);
+    get_pc = (fun () -> Exec.pc ctx);
+    set_pc = (fun v -> Exec.set_pc ctx v);
     phys_read = (fun ~bits pa -> Machine.phys_read ctx.Exec.machine ~bits pa);
     cycles = (fun () -> ctx.Exec.machine.Machine.cycles);
   }

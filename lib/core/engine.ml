@@ -32,7 +32,7 @@ include Jit.Decls
 type translation = {
   t_key : int64 * int * bool;
   t_va : int64; (* VA it was translated from (for per-block statistics) *)
-  t_program : Encode.program;
+  t_code : Exec.code; (* threaded code, compiled at install *)
   t_n_guest : int;
   t_n_host : int;
   t_bytes : int;
@@ -246,7 +246,7 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
           e.current_as <- target_as;
           Machine.set_page_table ctx.Exec.machine ~root:e.roots.(target_as) ~pcid:target_as
             ~keep_tlb:e.config.pcid;
-          ctx.Exec.regs.(Dag.as_tag_preg) <- as_tag_value target_as;
+          Exec.set_reg ctx Dag.as_tag_preg (as_tag_value target_as);
           0L);
       cost = 5;
     };
@@ -293,7 +293,7 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
    test this host flag at every member-entry safepoint and bail out to
    the dispatcher, which re-validates (EL, MMU regime) itself.  Cleared
    on every block entry. *)
-and poison_regions (e : t) = e.ctx.Exec.regs.(Hir.region_poison_preg) <- 1L
+and poison_regions (e : t) = Exec.set_reg e.ctx Hir.region_poison_preg 1L
 
 (* Invalidate all host page-table mappings of the guest halves (the
    paper's TLB-flush intercept: clear the low 256 PML4 entries of each
@@ -374,7 +374,7 @@ and protect_page e phys_page =
             Hvm.Pagetable.protect e.machine.Machine.mem ~root va_page
               { flags with Hvm.Pagetable.writable = false };
             ignore pte_addr;
-            Hvm.Tlb.flush_page e.machine.Machine.tlb (Int64.shift_right_logical va_page 12)
+            Hvm.Tlb.flush_page e.machine.Machine.tlb (Int64.to_int (Int64.shift_right_logical va_page 12))
           | _ -> ())
         !lst
     | None -> ()
@@ -436,7 +436,7 @@ and handle_fault (e : t) ctx (access : Machine.access) va ~bits ~value : Exec.fa
          translation forever — e.g. an SMC write to a code page that was
          previously read (TLB-resident, read-only) and has just been
          remapped writable. *)
-      Hvm.Tlb.flush_page e.machine.Machine.tlb (Int64.shift_right_logical va_page 12);
+      Hvm.Tlb.flush_page e.machine.Machine.tlb (Int64.to_int (Int64.shift_right_logical va_page 12));
       (let lst =
          match Hashtbl.find_opt e.mappings phys_page with
          | Some l -> l
@@ -521,7 +521,7 @@ let install (e : t) ?(members = []) ?async (req : Jit.request) (res : Jit.result
     {
       t_key = key;
       t_va = req.Jit.rq_head_va;
-      t_program = res.Jit.r_program;
+      t_code = Exec.compile res.Jit.r_program;
       t_n_guest = res.Jit.r_n_guest;
       t_n_host = res.Jit.r_n_host;
       t_bytes = Bytes.length res.Jit.r_code;
@@ -995,7 +995,7 @@ let lookup_fetch (e : t) sys va ~el ~mmu_on =
 let enter_block (e : t) ~el ~va =
   (* The dispatcher re-validated (EL, MMU regime): clear the region
      poison flag so tier-1 regions run until the next regime change. *)
-  e.ctx.Exec.regs.(Hir.region_poison_preg) <- 0L;
+  Exec.set_reg e.ctx Hir.region_poison_preg 0L;
   e.machine.Machine.ring <- (if el = 0 then 3 else 0);
   match e.sanitizer with
   | None -> ()
@@ -1011,7 +1011,7 @@ let prepare_as (e : t) va =
     Machine.set_page_table e.machine ~root:e.roots.(target_as) ~pcid:target_as
       ~keep_tlb:e.config.pcid
   end;
-  e.ctx.Exec.regs.(Dag.as_tag_preg) <- as_tag_value target_as
+  Exec.set_reg e.ctx Dag.as_tag_preg (as_tag_value target_as)
 
 let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
   let sys = Common.sys_ctx e.guest e.ctx in
@@ -1035,7 +1035,7 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
          if Machine.irq_pending e.machine then ignore (e.guest.Ops.deliver_irq sys);
          let el = e.guest.Ops.privilege_level sys in
          let mmu_on = e.guest.Ops.mmu_enabled sys in
-         let va = e.ctx.Exec.pc in
+         let va = Exec.pc e.ctx in
          enter_block e ~el ~va;
          Machine.charge e.machine Cost.dispatch_lookup;
          match lookup_fetch e sys va ~el ~mmu_on with
@@ -1067,19 +1067,19 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
                    else max 1 (max_blocks - e.stats.blocks_executed)
                  in
                  e.ctx.Exec.poll_budget <- budget;
-                 slot := Exec.run e.ctx !cur.t_program;
+                 slot := Exec.run e.ctx !cur.t_code;
                  let consumed = max 1 (budget - e.ctx.Exec.poll_budget) in
                  e.stats.blocks_executed <- e.stats.blocks_executed + consumed;
                  e.stats.region_entries <- e.stats.region_entries + 1;
                  e.stats.region_block_execs <- e.stats.region_block_execs + consumed
                end
                else begin
-                 ignore (Exec.run e.ctx !cur.t_program);
+                 ignore (Exec.run e.ctx !cur.t_code);
                  e.stats.blocks_executed <- e.stats.blocks_executed + 1
                end;
                !cur.t_exec_count <- !cur.t_exec_count + 1;
                !cur.t_cycles <- !cur.t_cycles + (e.machine.Machine.cycles - c0);
-               let next_va = e.ctx.Exec.pc in
+               let next_va = Exec.pc e.ctx in
                let next_el = e.guest.Ops.privilege_level sys in
                if e.config.tiering && !cur.t_tier <= 0 then begin
                  record_succ !cur next_va next_el;

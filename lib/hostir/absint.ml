@@ -49,17 +49,7 @@ let alu (op : aluop) a b =
   else
     match (Av.is_const a, Av.is_const b) with
     | Some x, Some y ->
-      Av.const
-        (match op with
-        | Aadd -> Int64.add x y
-        | Asub -> Int64.sub x y
-        | Aand -> Int64.logand x y
-        | Aor -> Int64.logor x y
-        | Axor -> Int64.logxor x y
-        | Ashl -> Bits.shl x (Int64.to_int (Int64.logand y 63L))
-        | Ashr -> Bits.shr x (Int64.to_int (Int64.logand y 63L))
-        | Asar -> Bits.sar x (Int64.to_int (Int64.logand y 63L))
-        | Amul -> Int64.mul x y)
+      Av.const (Exec.alu op x y)
     | _ -> (
       match op with
       | Aadd -> Av.add a b
@@ -74,24 +64,14 @@ let alu (op : aluop) a b =
 
 let mulhi ~signed a b =
   match (Av.is_const a, Av.is_const b) with
-  | Some x, Some y ->
-    let hi, _ = Softfloat.Sf_core.mul64_wide x y in
-    let hi = if signed && x < 0L then Int64.sub hi y else hi in
-    let hi = if signed && y < 0L then Int64.sub hi x else hi in
-    Av.const hi
+  | Some x, Some y -> Av.const (Exec.mulhi signed x y)
   | _ -> if Av.is_bot a || Av.is_bot b then Av.bot else Av.top
 
 let divrem ~signed ~want_rem a b =
   if Av.is_bot a || Av.is_bot b then Av.bot
   else
     match (Av.is_const a, Av.is_const b) with
-    | Some x, Some y ->
-      (* ARM-style guarded divide: b = 0 yields rem = a, div = 0. *)
-      Av.const
-        (if y = 0L then if want_rem then x else 0L
-         else if signed then if want_rem then Int64.rem x y else Int64.div x y
-         else if want_rem then Int64.unsigned_rem x y
-         else Int64.unsigned_div x y)
+    | Some x, Some y -> Av.const (Exec.divrem signed want_rem x y)
     | _ -> if signed then Av.top else if want_rem then Av.urem a b else Av.udiv a b
 
 let cmov c a b =
@@ -104,17 +84,7 @@ let cmov c a b =
 
 let bit1 (op : bit1op) a =
   match Av.is_const a with
-  | Some v ->
-    Av.const
-      (match op with
-      | Bclz32 -> Int64.of_int (Bits.clz ~width:32 (Bits.zero_extend v ~width:32))
-      | Bclz64 -> Int64.of_int (Bits.clz v)
-      | Bpopcnt -> Int64.of_int (Bits.popcount v)
-      | Bswap16 -> Bits.byte_swap v ~width:16
-      | Bswap32 -> Bits.byte_swap (Bits.zero_extend v ~width:32) ~width:32
-      | Bswap64 -> Bits.byte_swap v ~width:64
-      | Brbit32 -> Bits.bit_reverse (Bits.zero_extend v ~width:32) ~width:32
-      | Brbit64 -> Bits.bit_reverse v ~width:64)
+  | Some v -> Av.const (Exec.bit1 op v)
   | None ->
     if Av.is_bot a then Av.bot
     else (
@@ -128,12 +98,7 @@ let bit1 (op : bit1op) a =
 
 let bit2 (op : bit2op) a b =
   match (Av.is_const a, Av.is_const b) with
-  | Some x, Some y ->
-    Av.const
-      (match op with
-      | Bror32 ->
-        Bits.rotate_right (Bits.zero_extend x ~width:32) (Int64.to_int (Int64.logand y 31L)) ~width:32
-      | Bror64 -> Bits.rotate_right x (Int64.to_int (Int64.logand y 63L)) ~width:64)
+  | Some x, Some y -> Av.const (Exec.bit2 op x y)
   | _ ->
     if Av.is_bot a || Av.is_bot b then Av.bot
     else (match op with Bror32 -> Av.of_width 32 | Bror64 -> Av.top)
@@ -773,7 +738,11 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
            folds are the big win — an integer divide priced at tens of
            cycles becomes a register move). *)
         match ins with
-        | Mov (_, Imm _) -> None
+        (* A register-file reload stays: folding it to a [Mov] of the
+           constant would leave its promoted register dirty, where the
+           reload left it clean, and a later helper call would then see
+           unflushed state ([check_wb]'s dirty-across-call). *)
+        | Mov (_, Imm _) | Ldrf _ -> None
         | _ when pure ins -> (
           match dest ins with
           | Some d -> (

@@ -32,7 +32,6 @@
 
 open Hir
 module Bits = Dbt_util.Bits
-open Softfloat
 
 (* ------------------------------------------------------------------ *)
 (* Terms                                                              *)
@@ -82,53 +81,6 @@ type term =
   | TPollFired of int (* did poll site #n fire on this path? *)
 
 (* ------------------------------------------------------------------ *)
-(* Concrete folds (must mirror Exec exactly)                          *)
-(* ------------------------------------------------------------------ *)
-
-let alu_fold op a b =
-  match op with
-  | Aadd -> Int64.add a b
-  | Asub -> Int64.sub a b
-  | Aand -> Int64.logand a b
-  | Aor -> Int64.logor a b
-  | Axor -> Int64.logxor a b
-  | Ashl -> Bits.shl a (Int64.to_int (Int64.logand b 63L))
-  | Ashr -> Bits.shr a (Int64.to_int (Int64.logand b 63L))
-  | Asar -> Bits.sar a (Int64.to_int (Int64.logand b 63L))
-  | Amul -> Int64.mul a b
-
-let mulhi_fold signed a b =
-  let hi, _ = Sf_core.mul64_wide a b in
-  let hi = if signed && a < 0L then Int64.sub hi b else hi in
-  if signed && b < 0L then Int64.sub hi a else hi
-
-let divrem_fold signed want_rem a b =
-  if b = 0L then if want_rem then a else 0L
-  else if signed then if want_rem then Int64.rem a b else Int64.div a b
-  else if want_rem then Int64.unsigned_rem a b
-  else Int64.unsigned_div a b
-
-let bit1_fold op v =
-  match op with
-  | Bclz32 -> Int64.of_int (Bits.clz ~width:32 (Bits.zero_extend v ~width:32))
-  | Bclz64 -> Int64.of_int (Bits.clz v)
-  | Bpopcnt -> Int64.of_int (Bits.popcount v)
-  | Bswap16 -> Bits.byte_swap v ~width:16
-  | Bswap32 -> Bits.byte_swap (Bits.zero_extend v ~width:32) ~width:32
-  | Bswap64 -> Bits.byte_swap v ~width:64
-  | Brbit32 -> Bits.bit_reverse (Bits.zero_extend v ~width:32) ~width:32
-  | Brbit64 -> Bits.bit_reverse v ~width:64
-
-let bit2_fold op a b =
-  match op with
-  | Bror32 ->
-    Bits.rotate_right (Bits.zero_extend a ~width:32) (Int64.to_int (Int64.logand b 31L)) ~width:32
-  | Bror64 -> Bits.rotate_right a (Int64.to_int (Int64.logand b 63L)) ~width:64
-
-let ext_fold signed bits v =
-  if signed then Bits.sign_extend v ~width:bits else Bits.zero_extend v ~width:bits
-
-(* ------------------------------------------------------------------ *)
 (* Smart constructors / normalization                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -154,7 +106,7 @@ let rec t_ext signed bits t =
   if bits >= 64 then t
   else
     match t with
-    | Const c -> Const (ext_fold signed bits c)
+    | Const c -> Const (Exec.ext signed bits c)
     | TExt (_, w2, y) when bits <= w2 -> t_ext signed bits y
     | TExt (s2, w2, _) when bits > w2 && ((not s2) || signed) ->
       (* a wider extension of an already-extended value is the identity:
@@ -170,7 +122,7 @@ and t_alu op a b =
     let leaves = ac_leaves op a (ac_leaves op b []) in
     let cval =
       List.fold_left
-        (fun acc t -> match t with Const c -> alu_fold op acc c | _ -> acc)
+        (fun acc t -> match t with Const c -> Exec.alu op acc c | _ -> acc)
         (ac_ident op) leaves
     in
     match ac_absorb op with
@@ -217,7 +169,7 @@ and t_alu op a b =
     | _ -> TAlu (Asub, a, b))
   | Ashl | Ashr | Asar -> (
     match (a, b) with
-    | Const x, Const y -> Const (alu_fold op x y)
+    | Const x, Const y -> Const (Exec.alu op x y)
     | _, Const c ->
       let c = Int64.logand c 63L in
       if c = 0L then a else TAlu (op, a, Const c)
@@ -260,18 +212,18 @@ let t_not = function
   | t -> TNot t
 
 let t_mulhi s a b =
-  match (a, b) with Const x, Const y -> Const (mulhi_fold s x y) | _ -> TMulhi (s, a, b)
+  match (a, b) with Const x, Const y -> Const (Exec.mulhi s x y) | _ -> TMulhi (s, a, b)
 
 let t_divrem s r a b =
   match (a, b) with
-  | Const x, Const y -> Const (divrem_fold s r x y)
+  | Const x, Const y -> Const (Exec.divrem s r x y)
   | _, Const 0L -> if r then a else Const 0L (* Exec: division by zero -> rem = a, div = 0 *)
   | _ -> TDivrem (s, r, a, b)
 
-let t_bit1 op = function Const v -> Const (bit1_fold op v) | t -> TBit1 (op, t)
+let t_bit1 op = function Const v -> Const (Exec.bit1 op v) | t -> TBit1 (op, t)
 
 let t_bit2 op a b =
-  match (a, b) with Const x, Const y -> Const (bit2_fold op x y) | _ -> TBit2 (op, a, b)
+  match (a, b) with Const x, Const y -> Const (Exec.bit2 op x y) | _ -> TBit2 (op, a, b)
 
 let t_fp2 op a b =
   match (a, b) with Const x, Const y -> Const (Exec.exec_fp2 op x y) | _ -> TFp2 (op, a, b)
@@ -284,12 +236,11 @@ let t_fcmp w a b =
 let t_flags_add w a b cin =
   match (a, b, cin) with
   | Const x, Const y, Const ci ->
-    let r, carry, ovf = Bits.add_with_carry ~width:w x y (ci <> 0L) in
-    Const (Exec.flags_nzcv ~width:w r carry ovf)
+    Const (Exec.flags_add ~width:w x y ci)
   | _ -> TFlagsAdd (w, a, b, cin)
 
 let t_flags_logic w = function
-  | Const r -> Const (Exec.flags_nzcv ~width:w r false false)
+  | Const r -> Const (Exec.flags_logic ~width:w r)
   | t -> TFlagsLogic (w, t)
 
 (* ------------------------------------------------------------------ *)
@@ -377,23 +328,22 @@ let rec eval env t =
   | Atom (A_preg r) -> env.e_preg r
   | Atom (A_rf off) -> env.e_rf off
   | Atom (A_slot s) -> env.e_slot s
-  | TAlu (op, a, b) -> alu_fold op (eval env a) (eval env b)
-  | TMulhi (s, a, b) -> mulhi_fold s (eval env a) (eval env b)
-  | TDivrem (s, r, a, b) -> divrem_fold s r (eval env a) (eval env b)
+  | TAlu (op, a, b) -> Exec.alu op (eval env a) (eval env b)
+  | TMulhi (s, a, b) -> Exec.mulhi s (eval env a) (eval env b)
+  | TDivrem (s, r, a, b) -> Exec.divrem s r (eval env a) (eval env b)
   | TCmp (c, a, b) -> if Exec.cond_holds c (eval env a) (eval env b) then 1L else 0L
   | TIte (c, a, b) -> if eval env c <> 0L then eval env a else eval env b
-  | TExt (s, w, x) -> ext_fold s w (eval env x)
+  | TExt (s, w, x) -> Exec.ext s w (eval env x)
   | TNeg x -> Int64.neg (eval env x)
   | TNot x -> Int64.lognot (eval env x)
-  | TBit1 (op, x) -> bit1_fold op (eval env x)
-  | TBit2 (op, a, b) -> bit2_fold op (eval env a) (eval env b)
+  | TBit1 (op, x) -> Exec.bit1 op (eval env x)
+  | TBit2 (op, a, b) -> Exec.bit2 op (eval env a) (eval env b)
   | TFp2 (op, a, b) -> Exec.exec_fp2 op (eval env a) (eval env b)
   | TFp1 (op, x) -> Exec.exec_fp1 op (eval env x)
   | TFcmp (w, a, b) -> Exec.fcmp_nzcv w (eval env a) (eval env b)
   | TFlagsAdd (w, a, b, c) ->
-    let r, carry, ovf = Bits.add_with_carry ~width:w (eval env a) (eval env b) (eval env c <> 0L) in
-    Exec.flags_nzcv ~width:w r carry ovf
-  | TFlagsLogic (w, s) -> Exec.flags_nzcv ~width:w (eval env s) false false
+    Exec.flags_add ~width:w (eval env a) (eval env b) (eval env c)
+  | TFlagsLogic (w, s) -> Exec.flags_logic ~width:w (eval env s)
   | TPollFired _ -> 0L (* the harness runs with poll budgets that never fire *)
   | TLoad _ | TCallRet _ | THelperVal _ | TRfAfter _ | TPcAfter _ | TAsTag _ ->
     raise (Unevaluable (to_string t))

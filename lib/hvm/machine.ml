@@ -18,6 +18,7 @@ type t = {
      common plain-RAM access skips the search entirely. *)
   dev_ranges : (int64 * int64 * Device.t) array;
   dev_floor : int64;
+  ram_limit : int64; (* unsigned min of [dev_floor] and the memory size *)
   intc : Device.Intc.state;
   mutable cr3 : int64; (* current page-table root *)
   mutable pcid : int;
@@ -66,11 +67,17 @@ let guest_cycles t = t.cycles - t.jit_cycles
    when something might observe them (MMIO access, interrupt poll).  Guest
    time excludes JIT charges, so a timer interrupt lands at the same guest
    instruction whether the code was translated cold or loaded warm. *)
+let rec tick_devices delta = function
+  | [] -> ()
+  | d :: rest ->
+    d.Device.tick delta;
+    tick_devices delta rest
+
 let sync_devices t =
   let now = guest_cycles t in
   let delta = now - t.devs_ticked_at in
   if delta > 0 then begin
-    List.iter (fun d -> d.Device.tick delta) t.devices;
+    tick_devices delta t.devices;
     t.devs_ticked_at <- now
   end
 
@@ -102,6 +109,9 @@ let create ?(mem_size = default_mem_size) ?(devices = []) ?(intc = Device.Intc.c
     devices;
     dev_ranges;
     dev_floor;
+    ram_limit =
+      (let size = Int64.of_int mem_size in
+       if Int64.unsigned_compare dev_floor size < 0 then dev_floor else size);
     intc;
     cr3 = 0L;
     pcid = 0;
@@ -139,61 +149,42 @@ let find_device t pa =
 (* Translate a virtual address through the host MMU model: TLB lookup, then
    hardware page walk on miss; permission checks against the current ring.
    Raises [Host_fault]; the DBT engine installs the handler that services
-   these (populating host page tables from guest page tables). *)
-let translate t ~(access : access) va =
+   these (populating host page tables from guest page tables).  The hit
+   path is inlined into the accessors below and allocates nothing. *)
+let[@inline] permit t ~(access : access) va ~writable ~user ~executable =
+  (match access with
+  | Write when not writable -> raise (Host_fault { va; access })
+  | Exec when not executable -> raise (Host_fault { va; access })
+  | _ -> ());
+  if t.ring = 3 && not user then raise (Host_fault { va; access })
+
+(* The miss path: walk, check, then fill; a walk that fails or an access
+   the PTE does not permit raises before anything is inserted. *)
+let walk_and_fill t ~access va vpn =
+  charge t Cost.tlb_miss_walk;
+  match fst (Pagetable.walk t.mem ~root:t.cr3 va) with
+  | None ->
+    t.faults <- t.faults + 1;
+    raise (Host_fault { va; access })
+  | Some (_, pte) ->
+    let flags = Pagetable.flags_of_bits pte in
+    permit t ~access va ~writable:flags.Pagetable.writable ~user:flags.Pagetable.user
+      ~executable:flags.Pagetable.executable;
+    Tlb.insert t.tlb ~pcid:t.pcid ~vpn ~frame:(Pagetable.frame_of pte) ~flags ~global:false;
+    Tlb.lookup_filled t.tlb vpn
+
+let[@inline] translate t ~(access : access) va =
   if not t.paging then va
   else begin
-    let vpn = Int64.shift_right_logical va 12 in
-    let check ~writable ~user ~executable frame =
-      (match access with
-      | Write when not writable -> raise (Host_fault { va; access })
-      | Exec when not executable -> raise (Host_fault { va; access })
-      | _ -> ());
-      if t.ring = 3 && not user then raise (Host_fault { va; access });
-      Int64.logor frame (Int64.logand va 0xFFFL)
-    in
-    match Tlb.lookup t.tlb ~pcid:t.pcid vpn with
-    | Some e -> check ~writable:e.Tlb.writable ~user:e.Tlb.user ~executable:e.Tlb.executable e.Tlb.frame
-    | None -> (
-      charge t Cost.tlb_miss_walk;
-      match fst (Pagetable.walk t.mem ~root:t.cr3 va) with
-      | None ->
-        t.faults <- t.faults + 1;
-        raise (Host_fault { va; access })
-      | Some (_, pte) ->
-        let flags = Pagetable.flags_of_bits pte in
-        let frame = Pagetable.frame_of pte in
-        let result =
-          check ~writable:flags.Pagetable.writable ~user:flags.Pagetable.user
-            ~executable:flags.Pagetable.executable frame
-        in
-        Tlb.insert t.tlb ~pcid:t.pcid ~vpn ~frame ~flags ~global:false;
-        result)
+    let vpn = Int64.to_int (Int64.shift_right_logical va 12) in
+    let e = Tlb.lookup t.tlb ~pcid:t.pcid vpn in
+    let e = if e.Tlb.valid then e else walk_and_fill t ~access va vpn in
+    permit t ~access va ~writable:e.Tlb.writable ~user:e.Tlb.user ~executable:e.Tlb.executable;
+    Int64.logor e.Tlb.frame (Int64.logand va 0xFFFL)
   end
 
-(* Memory access from generated code: translation plus the physical access,
-   with MMIO routed to devices. *)
-let mem_read t ~bits va =
-  t.mem_ops <- t.mem_ops + 1;
-  charge t Cost.mem_access;
-  let pa = translate t ~access:Read va in
-  match find_device t pa with
-  | Some d ->
-    sync_devices t;
-    d.Device.read (Int64.to_int (Int64.sub pa d.Device.base)) bits
-  | None -> Mem.read t.mem ~bits pa
-
-let mem_write t ~bits va v =
-  t.mem_ops <- t.mem_ops + 1;
-  charge t Cost.mem_access;
-  let pa = translate t ~access:Write va in
-  match find_device t pa with
-  | Some d ->
-    sync_devices t;
-    d.Device.write (Int64.to_int (Int64.sub pa d.Device.base)) bits v
-  | None -> Mem.write t.mem ~bits pa v
-
-(* Physical (ring-independent) access, used by the hypervisor itself. *)
+(* Physical (ring-independent) access: the MMIO window or [Mem].  The
+   hypervisor's own accesses, and generated code's after translation. *)
 let phys_read t ~bits pa =
   match find_device t pa with
   | Some d ->
@@ -207,6 +198,41 @@ let phys_write t ~bits pa v =
     sync_devices t;
     d.Device.write (Int64.to_int (Int64.sub pa d.Device.base)) bits v
   | None -> Mem.write t.mem ~bits pa v
+
+(* RAM sits below [ram_limit] (the lower of the first MMIO base and the
+   memory size), where [Mem.load]/[Mem.store] take the address as an int. *)
+let[@inline] in_ram t pa = Int64.unsigned_compare pa t.ram_limit < 0
+
+(* Memory access from generated code: translation plus the physical access,
+   with MMIO routed to devices. *)
+let mem_read t ~bits va =
+  t.mem_ops <- t.mem_ops + 1;
+  charge t Cost.mem_access;
+  phys_read t ~bits (translate t ~access:Read va)
+
+let mem_write t ~bits va v =
+  t.mem_ops <- t.mem_ops + 1;
+  charge t Cost.mem_access;
+  phys_write t ~bits (translate t ~access:Write va) v
+
+(* The same two accesses with the address and the value in a host register
+   file ([regs], little-endian qwords at byte offsets [addr], [dst] and
+   [src]): the generated code's path.  Nothing crosses the call boxed, so
+   a RAM access that hits the TLB allocates nothing. *)
+let load t ~bits regs ~addr ~dst =
+  t.mem_ops <- t.mem_ops + 1;
+  charge t Cost.mem_access;
+  let pa = translate t ~access:Read (Bytes.get_int64_le regs addr) in
+  if in_ram t pa then Mem.load t.mem ~bits (Int64.to_int pa) regs dst
+  else Bytes.set_int64_le regs dst (phys_read t ~bits pa)
+
+let store t ~bits regs ~addr ~src =
+  t.mem_ops <- t.mem_ops + 1;
+  charge t Cost.mem_access;
+  let pa = translate t ~access:Write (Bytes.get_int64_le regs addr) in
+  if in_ram t pa then Mem.store t.mem ~bits (Int64.to_int pa) regs src
+  else phys_write t ~bits pa (Bytes.get_int64_le regs src)
+
 
 (* Switch page-table root.  With [pcid] the TLB entries of the previous
    address space stay resident (paper Sec. 2.7.5); without it the current

@@ -215,7 +215,7 @@ let check t ~(machine : Machine.t) ~roots ~code_keys ~reason =
      current page tables under its PCID.  Entries are scanned directly —
      [Tlb.lookup] would perturb the hit/miss statistics. *)
   let derivable root (e : Tlb.entry) =
-    match fst (Pagetable.walk mem ~root (Int64.shift_left e.Tlb.vpn 12)) with
+    match fst (Pagetable.walk mem ~root (Int64.shift_left (Int64.of_int e.Tlb.vpn) 12)) with
     | None -> false
     | Some (_, pte) ->
       Pagetable.frame_of pte = e.Tlb.frame
@@ -232,14 +232,14 @@ let check t ~(machine : Machine.t) ~roots ~code_keys ~reason =
         if e.Tlb.global then begin
           if not (Array.exists (fun root -> derivable root e) roots) then
             finding t Tlb_shadow
-              "stale global TLB entry: vpn 0x%Lx -> 0x%Lx derivable from no live root" e.Tlb.vpn
+              "stale global TLB entry: vpn 0x%x -> 0x%Lx derivable from no live root" e.Tlb.vpn
               e.Tlb.frame
         end
         else if e.Tlb.pcid < 0 || e.Tlb.pcid >= Array.length roots then
-          finding t Tlb_shadow "TLB entry vpn 0x%Lx carries unknown PCID %d" e.Tlb.vpn e.Tlb.pcid
+          finding t Tlb_shadow "TLB entry vpn 0x%x carries unknown PCID %d" e.Tlb.vpn e.Tlb.pcid
         else if not (derivable roots.(e.Tlb.pcid) e) then
           finding t Tlb_shadow
-            "stale TLB entry: pcid %d vpn 0x%Lx -> 0x%Lx (%s) not derivable from the current page tables"
+            "stale TLB entry: pcid %d vpn 0x%x -> 0x%Lx (%s) not derivable from the current page tables"
             e.Tlb.pcid e.Tlb.vpn e.Tlb.frame
             (flags_str
                {
@@ -292,7 +292,7 @@ let check t ~(machine : Machine.t) ~roots ~code_keys ~reason =
       Array.iter
         (fun (e : Tlb.entry) ->
           if e.Tlb.valid && page_of e.Tlb.frame = page && e.Tlb.writable then
-            finding t Code_cache "writable TLB entry for code page 0x%Lx (pcid %d vpn 0x%Lx)" page
+            finding t Code_cache "writable TLB entry for code page 0x%Lx (pcid %d vpn 0x%x)" page
               e.Tlb.pcid e.Tlb.vpn)
         tlb.Tlb.entries)
     t.code_pages;

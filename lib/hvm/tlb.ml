@@ -7,7 +7,7 @@
 
 type entry = {
   mutable valid : bool;
-  mutable vpn : int64;
+  mutable vpn : int; (* virtual page number: va lsr 12, below 2^52 *)
   mutable pcid : int;
   mutable frame : int64; (* physical page base *)
   mutable writable : bool;
@@ -30,7 +30,7 @@ let create ?(size = 1024) () =
       Array.init size (fun _ ->
           {
             valid = false;
-            vpn = 0L;
+            vpn = 0;
             pcid = 0;
             frame = 0L;
             writable = false;
@@ -44,18 +44,34 @@ let create ?(size = 1024) () =
     flushes = 0;
   }
 
-let slot t vpn = Int64.to_int (Int64.unsigned_rem vpn (Int64.of_int t.size))
+let[@inline] slot t vpn = vpn mod t.size
+
+(* What a miss returns: never valid, never inserted into. *)
+let miss =
+  {
+    valid = false;
+    vpn = 0;
+    pcid = 0;
+    frame = 0L;
+    writable = false;
+    user = false;
+    executable = false;
+    global = false;
+  }
 
 let lookup t ~pcid vpn =
   let e = t.entries.(slot t vpn) in
   if e.valid && e.vpn = vpn && (e.global || e.pcid = pcid) then begin
     t.hits <- t.hits + 1;
-    Some e
+    e
   end
   else begin
     t.misses <- t.misses + 1;
-    None
+    miss
   end
+
+(* The entry [insert] just filled for [vpn]. *)
+let lookup_filled t vpn = t.entries.(slot t vpn)
 
 let insert t ~pcid ~vpn ~frame ~(flags : Pagetable.flags) ~global =
   let e = t.entries.(slot t vpn) in

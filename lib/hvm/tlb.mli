@@ -7,7 +7,7 @@
 
 type entry = {
   mutable valid : bool;
-  mutable vpn : int64;
+  mutable vpn : int;  (** virtual page number: [va lsr 12] *)
   mutable pcid : int;
   mutable frame : int64;
   mutable writable : bool;
@@ -26,10 +26,19 @@ type t = {
 
 val create : ?size:int -> unit -> t
 
-(** Lookup; counts a hit or miss. *)
-val lookup : t -> pcid:int -> int64 -> entry option
+(** Lookup; counts a hit or miss.  A miss returns {!miss}, whose [valid]
+    is false: an entry rather than an option, so a lookup allocates
+    nothing. *)
+val lookup : t -> pcid:int -> int -> entry
 
-val insert : t -> pcid:int -> vpn:int64 -> frame:int64 -> flags:Pagetable.flags -> global:bool -> unit
+(** The entry a miss returns. *)
+val miss : entry
+
+val insert : t -> pcid:int -> vpn:int -> frame:int64 -> flags:Pagetable.flags -> global:bool -> unit
+
+(** The slot [vpn] maps to, without counting a hit: the entry that
+    {!insert} just filled. *)
+val lookup_filled : t -> int -> entry
 
 val flush_all : t -> unit
 
@@ -41,5 +50,5 @@ val flush_pcid : t -> int -> unit
     global entries.  (The TLB is direct-mapped, so the single slot for
     the VPN covers all PCIDs; aliasing entries for other VPNs in the
     same slot survive.) *)
-val flush_page : t -> int64 -> unit
+val flush_page : t -> int -> unit
 val reset_stats : t -> unit

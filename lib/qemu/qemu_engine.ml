@@ -30,7 +30,7 @@ let tlb_bytes = tlb_entries * 32
 
 type translation = {
   t_key : int64 * int * bool; (* va, el, mmu_on *)
-  t_program : Encode.program;
+  t_code : Exec.code; (* threaded code, compiled at install *)
   t_n_guest : int;
   t_n_host : int;
   t_bytes : int;
@@ -341,7 +341,7 @@ let translate_block (e : t) sys ~va ~pa ~el ~mmu_on : translation =
   let tr =
     {
       t_key = (va, el, mmu_on);
-      t_program = program;
+      t_code = Exec.compile program;
       t_n_guest = !n;
       t_n_host = n_host;
       t_bytes = Bytes.length code;
@@ -392,7 +392,7 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
          if Machine.irq_pending e.machine then ignore (e.guest.Ops.deliver_irq sys);
          let el = e.guest.Ops.privilege_level sys in
          let mmu_on = e.guest.Ops.mmu_enabled sys in
-         let va = e.ctx.Exec.pc in
+         let va = Exec.pc e.ctx in
          Machine.charge e.machine Cost.dispatch_lookup;
          match fetch e sys va ~el with
          | Error () -> ()
@@ -409,11 +409,11 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
              while !continue_chain do
                let c0 = e.machine.Machine.cycles in
                Machine.charge e.machine Cost.block_entry;
-               ignore (Exec.run e.ctx !cur.t_program);
+               ignore (Exec.run e.ctx !cur.t_code);
                !cur.t_exec_count <- !cur.t_exec_count + 1;
                !cur.t_cycles <- !cur.t_cycles + (e.machine.Machine.cycles - c0);
                e.stats.blocks_executed <- e.stats.blocks_executed + 1;
-               let next_va = e.ctx.Exec.pc in
+               let next_va = Exec.pc e.ctx in
                let next_el = e.guest.Ops.privilege_level sys in
                if
                  e.config.chaining

@@ -8,15 +8,20 @@
 
 open Guest.Ops
 
-let model = lazy (Ssa.Offline.build ~opt_level:4 Riscv_descr.source)
-let model_at_level level = Ssa.Offline.build ~opt_level:level Riscv_descr.source
+(* One offline model per optimisation level 0-4, built on first use and
+   shared from then on; level 4 is the default model.  Other levels are
+   built afresh on every call. *)
+let models = Array.init 5 (fun level -> lazy (Ssa.Offline.build ~opt_level:level Riscv_descr.source))
+let model = models.(4)
+
+let model_at_level level =
+  if level >= 0 && level < Array.length models then Lazy.force models.(level)
+  else Ssa.Offline.build ~opt_level:level Riscv_descr.source
 
 let flat_perms = { pr = true; pw = true; px = true; puser = true }
 
 let ops ?opt_level () : ops =
-  let model =
-    match opt_level with None -> Lazy.force model | Some l -> model_at_level l
-  in
+  let model = model_at_level (Option.value opt_level ~default:4) in
   {
     name = "rv64im";
     description = "64-bit RISC-V (RV64IM) guest, user-level";

@@ -58,54 +58,94 @@ let ule a b = ucompare a b <= 0
 let udiv = Int64.unsigned_div
 let urem = Int64.unsigned_rem
 
-let popcount x =
-  let rec go x acc = if x = 0L then acc else go (shr x 1) (acc + Int64.to_int (x &% 1L)) in
-  go x 0
+(* Kernels on 32-bit values held in native ints (zero-extended, below
+   2^32).  Immediate arguments and results: a caller in another module
+   allocates nothing, which is what lets the host executor use them on
+   its hot path.  The int64 versions below split into two halves. *)
+let[@inline] popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) land 0xFFFFFFFF) lsr 24
+
+let[@inline] clz32 x =
+  if x = 0 then 32
+  else begin
+    let n = ref 0 and x = ref x in
+    if !x land 0xFFFF0000 = 0 then begin n := 16; x := !x lsl 16 end;
+    if !x land 0xFF000000 = 0 then begin n := !n + 8; x := !x lsl 8 end;
+    if !x land 0xF0000000 = 0 then begin n := !n + 4; x := !x lsl 4 end;
+    if !x land 0xC0000000 = 0 then begin n := !n + 2; x := !x lsl 2 end;
+    if !x land 0x80000000 = 0 then !n + 1 else !n
+  end
+
+let[@inline] ctz32 x = if x = 0 then 32 else popcount32 ((x land -x) - 1)
+
+let[@inline] bswap32 x =
+  ((x land 0xFF) lsl 24)
+  lor ((x land 0xFF00) lsl 8)
+  lor ((x lsr 8) land 0xFF00)
+  lor ((x lsr 24) land 0xFF)
+
+let[@inline] rbit32 x =
+  let x = ((x lsr 1) land 0x55555555) lor ((x land 0x55555555) lsl 1) in
+  let x = ((x lsr 2) land 0x33333333) lor ((x land 0x33333333) lsl 2) in
+  let x = ((x lsr 4) land 0x0F0F0F0F) lor ((x land 0x0F0F0F0F) lsl 4) in
+  bswap32 x
+
+let[@inline] lo32 x = Int64.to_int x land 0xFFFFFFFF
+let[@inline] hi32 x = Int64.to_int (Int64.shift_right_logical x 32)
+let[@inline] join32 ~hi ~lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+
+let popcount x = popcount32 (lo32 x) + popcount32 (hi32 x)
 
 let clz ?(width = 64) x =
   let x = zero_extend x ~width in
-  let rec go i = if i < 0 then width else if bit x i then width - 1 - i else go (i - 1) in
-  go (width - 1)
+  if x = 0L then width
+  else
+    let h = hi32 x in
+    (if h <> 0 then clz32 h else 32 + clz32 (lo32 x)) - (64 - width)
 
 let ctz ?(width = 64) x =
   let x = zero_extend x ~width in
-  let rec go i = if i >= width then width else if bit x i then i else go (i + 1) in
-  go 0
+  if x = 0L then width
+  else
+    let l = lo32 x in
+    if l <> 0 then ctz32 l else 32 + ctz32 (hi32 x)
 
-(* Reverse the low [width] bits. *)
+(* Reverse the low [width] bits (1..64). *)
 let bit_reverse x ~width =
-  let r = ref 0L in
-  for i = 0 to width - 1 do
-    if bit x i then r := !r |% shl 1L (width - 1 - i)
-  done;
-  !r
+  if width <= 0 then 0L
+  else
+    let x = zero_extend x ~width in
+    shr (join32 ~hi:(rbit32 (lo32 x)) ~lo:(rbit32 (hi32 x))) (64 - width)
 
-(* Byte-swap within [width] bits (width is 16, 32 or 64). *)
+(* Byte-swap the low [width] bits (8, 16, 32 or 64; a multiple of 8). *)
 let byte_swap x ~width =
-  let n = width / 8 in
-  let r = ref 0L in
-  for i = 0 to n - 1 do
-    r := !r |% shl (extract x ~lo:(8 * i) ~len:8) (8 * (n - 1 - i))
-  done;
-  !r
+  let x = zero_extend x ~width:(width land lnot 7) in
+  shr (join32 ~hi:(bswap32 (lo32 x)) ~lo:(bswap32 (hi32 x))) (64 - (width land lnot 7))
 
 (* Align [x] down/up to a power-of-two [align]. *)
 let align_down x align = x &% lnot64 (Int64.of_int (align - 1))
 let align_up x align = align_down (x +% Int64.of_int (align - 1)) align
 let is_aligned x align = x &% Int64.of_int (align - 1) = 0L
 
-(* Carry and overflow of a 64-bit addition with carry-in, as the ARM
-   pseudo-code's AddWithCarry computes them. *)
+(* ARM's AddWithCarry on [width]-bit operands: [add_with_carry] is the
+   zero-extended result, [add_nzcv] the flags nibble N=8, Z=4, C=2, V=1.
+   Two functions rather than one tuple, so neither allocates. *)
 let add_with_carry ?(width = 64) a b carry_in =
+  zero_extend (a +% b +% if carry_in then 1L else 0L) ~width
+
+let add_nzcv ?(width = 64) a b carry_in =
   let a = zero_extend a ~width and b = zero_extend b ~width in
-  let cin = if carry_in then 1L else 0L in
-  let result = zero_extend (a +% b +% cin) ~width in
+  let r = zero_extend (a +% b +% if carry_in then 1L else 0L) ~width in
   (* Carry-out of a + b + cin in [width] bits: with cin=0 the sum wrapped iff
      it is strictly below [a]; with cin=1 it wrapped iff it is <= [a]. *)
-  let carry = if carry_in then ule result a else ult result a in
-  let sa = bit a (width - 1) and sb = bit b (width - 1) and sr = bit result (width - 1) in
-  let overflow = sa = sb && sr <> sa in
-  (result, carry, overflow)
+  let c = if carry_in then ule r a else ult r a in
+  let sa = bit a (width - 1) and sb = bit b (width - 1) and sr = bit r (width - 1) in
+  let v = sa = sb && sr <> sa in
+  Int64.of_int
+    ((if sr then 8 else 0) lor (if r = 0L then 4 else 0) lor (if c then 2 else 0) lor if v then 1 else 0)
 
 let hex x = Printf.sprintf "0x%Lx" x
 let hex_w width x = Printf.sprintf "0x%0*Lx" (width / 4) (zero_extend x ~width)

@@ -55,6 +55,17 @@ val udiv : int64 -> int64 -> int64
 val urem : int64 -> int64 -> int64
 val popcount : int64 -> int
 
+(** Kernels on 32-bit values held in native ints (zero-extended, below
+    2{^32}).  Arguments and results are immediate, so callers in other
+    compilation units allocate nothing.  [clz32] and [ctz32] return 32
+    for zero. *)
+val popcount32 : int -> int
+
+val clz32 : int -> int
+val ctz32 : int -> int
+val bswap32 : int -> int
+val rbit32 : int -> int
+
 (** Count leading zeros within [width] (default 64); returns [width] for
     zero. *)
 val clz : ?width:int -> int64 -> int
@@ -63,20 +74,24 @@ val clz : ?width:int -> int64 -> int
     zero. *)
 val ctz : ?width:int -> int64 -> int
 
-(** Reverse the low [width] bits. *)
+(** Reverse the low [width] bits (1..64; zero for [width <= 0]). *)
 val bit_reverse : int64 -> width:int -> int64
 
-(** Byte-swap within [width] bits (16, 32 or 64). *)
+(** Byte-swap the low [width] bits (8, 16, 32 or 64). *)
 val byte_swap : int64 -> width:int -> int64
 
 val align_down : int64 -> int -> int64
 val align_up : int64 -> int -> int64
 val is_aligned : int64 -> int -> bool
 
-(** [add_with_carry ?width a b cin] returns [(result, carry_out,
-    signed_overflow)] of the [width]-bit addition [a + b + cin], as the
-    ARM pseudo-code's AddWithCarry computes them. *)
-val add_with_carry : ?width:int -> int64 -> int64 -> bool -> int64 * bool * bool
+(** [add_with_carry ?width a b cin] is the [width]-bit result of
+    [a + b + cin], zero-extended, as the ARM pseudo-code's AddWithCarry
+    computes it. *)
+val add_with_carry : ?width:int -> int64 -> int64 -> bool -> int64
+
+(** [add_nzcv ?width a b cin] is AddWithCarry's flags as the nibble
+    N=8, Z=4, C=2 (unsigned carry-out), V=1 (signed overflow). *)
+val add_nzcv : ?width:int -> int64 -> int64 -> bool -> int64
 
 (** Hexadecimal rendering helpers. *)
 val hex : int64 -> string

@@ -41,19 +41,19 @@ let test_byte_swap () =
   check_i64 "bswap16" 0x3412L (Bits.byte_swap 0x1234L ~width:16)
 
 let test_add_with_carry () =
-  let r, c, v = Bits.add_with_carry (-1L) 1L false in
-  check_i64 "wrap result" 0L r;
-  check_bool "wrap carry" true c;
-  check_bool "wrap overflow" false v;
-  let r, c, v = Bits.add_with_carry Int64.max_int 1L false in
-  check_i64 "ovf result" Int64.min_int r;
-  check_bool "ovf carry" false c;
-  check_bool "ovf overflow" true v;
-  let _, c, _ = Bits.add_with_carry (-1L) 0L true in
-  check_bool "carry-in wrap" true c;
-  let r, c, _ = Bits.add_with_carry ~width:32 0xFFFFFFFFL 0L true in
-  check_i64 "w32 result" 0L r;
-  check_bool "w32 carry" true c
+  let carry ?width a b cin = Int64.logand (Bits.add_nzcv ?width a b cin) 2L <> 0L in
+  let overflow ?width a b cin = Int64.logand (Bits.add_nzcv ?width a b cin) 1L <> 0L in
+  check_i64 "wrap result" 0L (Bits.add_with_carry (-1L) 1L false);
+  check_bool "wrap carry" true (carry (-1L) 1L false);
+  check_bool "wrap overflow" false (overflow (-1L) 1L false);
+  check_i64 "wrap nzcv" 6L (Bits.add_nzcv (-1L) 1L false);
+  check_i64 "ovf result" Int64.min_int (Bits.add_with_carry Int64.max_int 1L false);
+  check_bool "ovf carry" false (carry Int64.max_int 1L false);
+  check_bool "ovf overflow" true (overflow Int64.max_int 1L false);
+  check_i64 "ovf nzcv" 9L (Bits.add_nzcv Int64.max_int 1L false);
+  check_bool "carry-in wrap" true (carry (-1L) 0L true);
+  check_i64 "w32 result" 0L (Bits.add_with_carry ~width:32 0xFFFFFFFFL 0L true);
+  check_bool "w32 carry" true (carry ~width:32 0xFFFFFFFFL 0L true)
 
 let test_align () =
   check_i64 "align_down" 0x1000L (Bits.align_down 0x1FFFL 4096);
@@ -92,8 +92,96 @@ let prop_add_with_carry_matches_int64 =
   QCheck2.Test.make ~name:"add_with_carry result matches Int64.add" ~count:500
     QCheck2.Gen.(pair int64 int64)
     (fun (a, b) ->
-      let r, _, _ = Bits.add_with_carry a b false in
-      r = Int64.add a b)
+      Bits.add_with_carry a b false = Int64.add a b)
+
+(* Naive bit-at-a-time definitions, the reference for the word-parallel
+   kernels in [Bits]. *)
+module Naive = struct
+  let bit x i = Int64.logand (Int64.shift_right_logical x i) 1L <> 0L
+  let zext x w = if w >= 64 then x else Int64.logand x (Int64.pred (Int64.shift_left 1L w))
+
+  let popcount x =
+    let n = ref 0 in
+    for i = 0 to 63 do
+      if bit x i then incr n
+    done;
+    !n
+
+  let clz ~width x =
+    let x = zext x width in
+    let r = ref width in
+    for i = 0 to width - 1 do
+      if bit x i then r := width - 1 - i
+    done;
+    !r
+
+  let ctz ~width x =
+    let x = zext x width in
+    let r = ref width in
+    for i = width - 1 downto 0 do
+      if bit x i then r := i
+    done;
+    !r
+
+  let bit_reverse x ~width =
+    let r = ref 0L in
+    for i = 0 to width - 1 do
+      if bit x i then r := Int64.logor !r (Int64.shift_left 1L (width - 1 - i))
+    done;
+    !r
+
+  let byte_swap x ~width =
+    let n = width / 8 in
+    let r = ref 0L in
+    for i = 0 to n - 1 do
+      let byte = Int64.logand (Int64.shift_right_logical x (8 * i)) 0xFFL in
+      r := Int64.logor !r (Int64.shift_left byte (8 * (n - 1 - i)))
+    done;
+    !r
+
+  (* AddWithCarry through an explicit 65-bit sum: bit by bit. *)
+  let add_nzcv ~width a b cin =
+    let a = zext a width and b = zext b width in
+    let carry = ref (if cin then 1 else 0) and r = ref 0L in
+    for i = 0 to width - 1 do
+      let s = (if bit a i then 1 else 0) + (if bit b i then 1 else 0) + !carry in
+      if s land 1 = 1 then r := Int64.logor !r (Int64.shift_left 1L i);
+      carry := s lsr 1
+    done;
+    let top x = bit x (width - 1) in
+    let v = top a = top b && top !r <> top a in
+    Int64.of_int
+      ((if top !r then 8 else 0) lor (if !r = 0L then 4 else 0) lor (!carry lsl 1) lor if v then 1 else 0)
+end
+
+(* Every width the DBT uses, over zero, all-ones and every single-bit
+   value, plus random values. *)
+let test_kernels_match_naive () =
+  List.iter
+    (fun width ->
+      let ones = Naive.zext (-1L) width in
+      let values =
+        (0L :: ones :: -1L :: List.init 64 (fun i -> Int64.shift_left 1L i))
+        @ List.init 200 (fun i -> Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (i + 1)))
+      in
+      List.iter
+        (fun x ->
+          let what f = Printf.sprintf "%s width %d of 0x%Lx" f width x in
+          let z = Naive.zext x width in
+          check_int (what "popcount") (Naive.popcount z) (Bits.popcount z);
+          check_int (what "clz") (Naive.clz ~width x) (Bits.clz ~width x);
+          check_int (what "ctz") (Naive.ctz ~width x) (Bits.ctz ~width x);
+          check_i64 (what "bit_reverse") (Naive.bit_reverse x ~width) (Bits.bit_reverse x ~width);
+          check_i64 (what "byte_swap") (Naive.byte_swap x ~width) (Bits.byte_swap x ~width);
+          List.iter
+            (fun (y, cin) ->
+              check_i64 (what "add_nzcv") (Naive.add_nzcv ~width x y cin) (Bits.add_nzcv ~width x y cin);
+              check_i64 (what "add_with_carry")
+                (Naive.zext (Int64.add (Int64.add x y) (if cin then 1L else 0L)) width)
+                (Bits.add_with_carry ~width x y cin))
+            [ (0L, false); (0L, true); (ones, false); (ones, true); (1L, false); (x, true) ])
+        values)
+    [ 8; 16; 32; 64 ]
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -106,6 +194,7 @@ let suite =
       Alcotest.test_case "popcount/clz/ctz" `Quick test_count;
       Alcotest.test_case "byte_swap" `Quick test_byte_swap;
       Alcotest.test_case "add_with_carry" `Quick test_add_with_carry;
+      Alcotest.test_case "kernels match naive definitions" `Quick test_kernels_match_naive;
       Alcotest.test_case "align" `Quick test_align;
       q prop_extract_insert;
       q prop_rotate_inverse;

@@ -16,7 +16,7 @@ let run_ir instrs =
   let ra = Regalloc.run (Array.of_list (instrs @ [ Hir.Exit 0 ])) in
   let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots (Encode.encode ra) in
   let ctx = mk_ctx () in
-  ignore (Exec.run ctx program);
+  ignore (Exec.run ctx (Exec.compile program));
   ctx
 
 (* --- encoder -------------------------------------------------------------- *)
@@ -68,7 +68,7 @@ let test_encode_jumps () =
   let ra = { Regalloc.instrs; dead = Array.make (Array.length instrs) false; n_slots = 0; n_spilled = 0; n_dead = 0 } in
   let p = Encode.decode_program (Encode.encode ra) in
   let ctx = mk_ctx () in
-  ignore (Exec.run ctx p);
+  ignore (Exec.run ctx (Exec.compile p));
   Alcotest.(check int64) "loop result 15" 15L (Exec.rf_read ctx 0)
 
 (* --- register allocator ------------------------------------------------------ *)
@@ -158,7 +158,7 @@ let test_regalloc_spills_under_pressure () =
   Alcotest.(check bool) "spilled something" true (ra.Regalloc.n_spilled > 0);
   let p = Encode.decode_program ~n_slots:ra.Regalloc.n_slots (Encode.encode ra) in
   let ctx = mk_ctx () in
-  ignore (Exec.run ctx p);
+  ignore (Exec.run ctx (Exec.compile p));
   for v = 0 to n - 1 do
     Alcotest.(check int64) (Printf.sprintf "v%d" v) (Int64.of_int (v * 11)) (Exec.rf_read ctx (8 * v))
   done
@@ -229,7 +229,7 @@ let test_dag_store_load_hazard () =
   let p = Encode.decode_program ~n_slots:ra.Regalloc.n_slots (Encode.encode ra) in
   let ctx = mk_ctx () in
   Exec.rf_write ctx 8 42L; (* r1 = 42 *)
-  ignore (Exec.run ctx p);
+  ignore (Exec.run ctx (Exec.compile p));
   Alcotest.(check int64) "r1 overwritten" 99L (Exec.rf_read ctx 8);
   Alcotest.(check int64) "r2 got the pre-store value" 42L (Exec.rf_read ctx 16)
 
@@ -245,7 +245,7 @@ let test_dag_sqrt_fixup () =
     let ra = Regalloc.run (Dag.finish d) in
     let p = Encode.decode_program ~n_slots:ra.Regalloc.n_slots (Encode.encode ra) in
     let ctx = mk_ctx () in
-    ignore (Exec.run ctx p);
+    ignore (Exec.run ctx (Exec.compile p));
     Exec.rf_read ctx 0
   in
   Alcotest.(check int64) "sqrt(-0.5) = +default NaN" 0x7FF8000000000000L
@@ -296,7 +296,7 @@ let test_gen_with_dag_matches_interp () =
       Exec.rf_write ctx (8 * i) st.Toy_arch.gpr.(i)
     done;
     Exec.rf_write ctx (256 + 8) st.Toy_arch.slots.(1);
-    ignore (Exec.run ctx p);
+    ignore (Exec.run ctx (Exec.compile p));
     for i = 0 to 15 do
       if Exec.rf_read ctx (8 * i) <> expected.Toy_arch.gpr.(i) then
         Alcotest.failf "%s (word %Lx): gpr%d = %Lx, expected %Lx" d.Adl.Decode.name word i

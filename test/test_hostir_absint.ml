@@ -39,10 +39,10 @@ let prop_absint_contains_concrete =
       let preg0 = Array.init 16 (fun _ -> Prng.int64 prng) in
       let rf0 = Array.init Test_symexec.n_offs (fun _ -> Prng.int64 prng) in
       let ctx = Test_symexec.mk_ctx () in
-      ctx.Exec.pc <- pc0;
-      Array.iteri (fun i x -> ctx.Exec.regs.(i) <- x) preg0;
+      Exec.set_pc ctx pc0;
+      Array.iteri (Exec.set_reg ctx) preg0;
       Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
-      ignore (Exec.run ctx (Test_symexec.indexify prog));
+      ignore (Exec.run ctx (Exec.compile (Test_symexec.indexify prog)));
       (* abstract run from the same state's exact constants *)
       let entry =
         let s = ref A.state_top in
@@ -69,13 +69,13 @@ let prop_absint_contains_concrete =
                (Av.to_string value))
       in
       for g = 0 to 15 do
-        chk (Printf.sprintf "r%d" g) (A.read joined (Hir.Preg g)) ctx.Exec.regs.(g)
+        chk (Printf.sprintf "r%d" g) (A.read joined (Hir.Preg g)) (Exec.reg ctx g)
       done;
       for i = 0 to Test_symexec.n_offs - 1 do
         chk (Printf.sprintf "rf[%d]" (8 * i)) (A.rf_read joined (8 * i))
           (Exec.rf_read ctx (8 * i))
       done;
-      chk "pc" joined.A.s_pc ctx.Exec.pc;
+      chk "pc" joined.A.s_pc (Exec.pc ctx);
       true)
 
 (* Per-instruction soundness over partially-known operands: the
@@ -109,9 +109,9 @@ let test_transfer_vs_exec () =
     let entry = List.fold_left (fun (s, i) (v, _) -> (A.write s (p i) v, i + 1)) (A.state_top, 0) ops in
     List.iter
       (fun ins ->
-        List.iteri (fun i (_, x) -> ctx.Exec.regs.(i) <- x) ops;
-        ignore (Exec.run ctx (Test_symexec.indexify [| ins; Hir.Exit 0 |]));
-        let r = ctx.Exec.regs.(3) in
+        List.iteri (fun i (_, x) -> Exec.set_reg ctx i x) ops;
+        ignore (Exec.run ctx (Exec.compile (Test_symexec.indexify [| ins; Hir.Exit 0 |])));
+        let r = Exec.reg ctx 3 in
         let v = A.read (A.transfer ~classify:(fun _ -> Ef.C_pure) (fst entry) ins) d in
         if not (Av.contains v r) then
           Alcotest.failf "unsound %s on (%s): %Ld not in %s" (Hir.to_string ins)
@@ -338,21 +338,21 @@ let prop_simplify_preserves_execution =
       let rf0 = Array.init Test_symexec.n_offs (fun _ -> Prng.int64 prng) in
       let run p =
         let ctx = Test_symexec.mk_ctx () in
-        ctx.Exec.pc <- pc0;
-        Array.iteri (fun i x -> ctx.Exec.regs.(i) <- x) preg0;
+        Exec.set_pc ctx pc0;
+        Array.iteri (Exec.set_reg ctx) preg0;
         Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
-        let slot = Exec.run ctx (Test_symexec.indexify p) in
+        let slot = Exec.run ctx (Exec.compile (Test_symexec.indexify p)) in
         (slot, ctx)
       in
       let slot_a, ctx_a = run prog and slot_b, ctx_b = run out in
       if slot_a <> slot_b then
         failwith (Printf.sprintf "exit slot %d <> %d after simplify" slot_a slot_b);
-      if ctx_a.Exec.pc <> ctx_b.Exec.pc then
-        failwith (Printf.sprintf "pc %Ld <> %Ld after simplify" ctx_a.Exec.pc ctx_b.Exec.pc);
+      if Exec.pc ctx_a <> Exec.pc ctx_b then
+        failwith (Printf.sprintf "pc %Ld <> %Ld after simplify" (Exec.pc ctx_a) (Exec.pc ctx_b));
       for g = 0 to Test_symexec.n_pregs - 1 do
         (* simplify only rewrites vreg destinations, so every preg must
            agree (dead vreg defs cannot change them) *)
-        if ctx_a.Exec.regs.(g) <> ctx_b.Exec.regs.(g) then
+        if Exec.reg ctx_a g <> Exec.reg ctx_b g then
           failwith (Printf.sprintf "r%d diverged after simplify" g)
       done;
       for i = 0 to Test_symexec.n_offs - 1 do
@@ -360,6 +360,35 @@ let prop_simplify_preserves_execution =
           failwith (Printf.sprintf "rf[%d] diverged after simplify" (8 * i))
       done;
       true)
+
+(* Regression: simplify once const-folded a clean reload [Ldrf (v, off)]
+   into [Mov (v, Imm c)].  The reload leaves the promoted register clean;
+   the [Mov] leaves it dirty, so the second helper call below became a
+   dirty-across-call finding on a stream that had none, and [Jit]'s
+   [check_wb_exn] would have rejected the region. *)
+let test_simplify_keeps_clean_reloads () =
+  let stream =
+    [|
+      Hir.Label 0;
+      Hir.Mov (v 0, Hir.Imm 5L) (* promoted register gets a constant: dirty *);
+      Hir.Strf (8, v 0) (* the promoter's flush before the call *);
+      Hir.Call (Ef.h_coproc_read, [||], Some (v 5)) (* a C_read barrier *);
+      Hir.Ldrf (v 0, 8) (* the promoter's reload: clean *);
+      Hir.Call (Ef.h_coproc_read, [||], Some (v 6)) (* v0 clean, no flush needed *);
+      Hir.Ldrf (v 0, 8);
+      Hir.Exit 0;
+      Hir.Label 1;
+      Hir.Wbmap [| (v 0, 8) |];
+    |]
+  in
+  let promoted = [ (0, 8) ] in
+  let findings s = List.length (A.check_wb ~classify:Ef.classify ~promoted s) in
+  Alcotest.(check int) "no findings before simplify" 0 (findings stream);
+  let out, stats = A.simplify ~classify:Ef.classify stream in
+  Alcotest.(check int) "no findings after simplify" 0 (findings out);
+  Alcotest.(check int) "no reload folded" 0 stats.A.consts_folded;
+  Alcotest.(check int) "both reloads kept" 2
+    (Array.fold_left (fun n i -> match i with Hir.Ldrf _ -> n + 1 | _ -> n) 0 out)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -384,4 +413,6 @@ let suite =
       Alcotest.test_case "simplify drops redundant masks" `Quick test_simplify_drops_masks;
       Alcotest.test_case "simplify deletes dead defs, keeps the writeback map" `Quick
         test_simplify_deletes_dead_keeps_wbmap;
+      Alcotest.test_case "simplify keeps clean register-file reloads" `Quick
+        test_simplify_keeps_clean_reloads;
     ] )

@@ -83,9 +83,12 @@ module Flat = struct
 end
 
 (* Random reads, writes, blits and zeroings against [Flat], biased to
-   addresses that straddle frame boundaries or sit at the end of memory;
-   every result and every [Bus_error] payload must agree, and so must
-   the final contents. *)
+   addresses that straddle frame boundaries, the 4 MiB spans of the
+   directory's second level, or the end of memory; every result and every
+   [Bus_error] payload must agree, and so must the final contents.  The
+   register-file accessors [Mem.load]/[Mem.store] are checked the same
+   way.  The largest size spans three second-level tables, the last one
+   partial. *)
 let test_mem_differential () =
   let outcome f =
     match f () with
@@ -95,28 +98,48 @@ let test_mem_differential () =
   let agree what f g =
     if outcome f <> outcome g then Alcotest.failf "Mem and Flat disagree on %s" what
   in
+  let span = 4 * 1024 * 1024 in
+  let regs = Bytes.make 16 '\000' in
+  let via_regs f a =
+    let a = Int64.to_int a in
+    if a < 0 || a > max_int - 8 then raise (Mem.Bus_error { addr = Int64.of_int a; bits = 0; write = false });
+    f a
+  in
   List.iter
     (fun size ->
       let rng = Random.State.make [| size |] in
       let m = Mem.create size and r = Bytes.make size '\000' in
       let frames = (size + 4095) / 4096 in
       let addr () =
-        match Random.State.int rng 4 with
+        match Random.State.int rng 5 with
         | 0 -> (4096 * Random.State.int rng (frames + 1)) + Random.State.int rng 20 - 10
         | 1 -> size + Random.State.int rng 20 - 16
         | 2 -> Random.State.int rng size
+        | 3 -> (span * Random.State.int rng ((size / span) + 2)) + Random.State.int rng 20 - 10
         | _ -> if Random.State.bool rng then -1 - Random.State.int rng 8 else max_int
       in
       for step = 1 to 4000 do
         let a = Int64.of_int (addr ()) in
         let bits = 8 lsl Random.State.int rng 4 in
         let what op = Printf.sprintf "%s (size %d, step %d, addr %Ld, bits %d)" op size step a bits in
-        match Random.State.int rng 10 with
+        match Random.State.int rng 12 with
         | 0 | 1 | 2 | 3 ->
           agree (what "read") (fun () -> Mem.read m ~bits a) (fun () -> Flat.read r ~bits a)
         | 4 | 5 | 6 ->
           let v = Random.State.bits64 rng in
           agree (what "write") (fun () -> Mem.write m ~bits a v) (fun () -> Flat.write r ~bits a v)
+        | 8 ->
+          agree (what "load")
+            (fun () ->
+              via_regs (fun a -> Mem.load m ~bits a regs 8) a;
+              Bytes.get_int64_le regs 8)
+            (fun () -> via_regs (fun _ -> Flat.read r ~bits a) a)
+        | 9 ->
+          let v = Random.State.bits64 rng in
+          Bytes.set_int64_le regs 0 v;
+          agree (what "store")
+            (fun () -> via_regs (fun a -> Mem.store m ~bits a regs 0) a)
+            (fun () -> via_regs (fun _ -> Flat.write r ~bits a v) a)
         | 7 ->
           let src = Bytes.init (Random.State.int rng 9000) (fun _ -> Char.chr (Random.State.int rng 256)) in
           agree (what "blit_in") (fun () -> Mem.blit_in m ~addr:a src) (fun () -> Flat.blit_in r ~addr:a src)
@@ -142,7 +165,7 @@ let test_mem_differential () =
       (* a partial last frame is filled, not released *)
       Alcotest.(check bool) (Printf.sprintf "size %d: zeroed memory releases whole frames" size) true
         (Mem.resident_frames m <= if size mod 4096 = 0 then 0 else 1))
-    mem_sizes
+    (mem_sizes @ [ (2 * span) + 4096 + 8 ])
 
 (* Unwritten frames of every instance share one zero frame, so a store
    that reached it would show up in every other instance. *)
@@ -231,15 +254,15 @@ let test_pagetable_protect_and_clear () =
 let test_tlb_pcid () =
   let tlb = Tlb.create ~size:64 () in
   let flags = { Pt.writable = true; user = true; executable = true } in
-  Tlb.insert tlb ~pcid:0 ~vpn:5L ~frame:0x5000L ~flags ~global:false;
-  Alcotest.(check bool) "hit pcid0" true (Tlb.lookup tlb ~pcid:0 5L <> None);
-  Alcotest.(check bool) "miss pcid1" true (Tlb.lookup tlb ~pcid:1 5L = None);
-  Tlb.insert tlb ~pcid:1 ~vpn:6L ~frame:0x6000L ~flags ~global:false;
+  Tlb.insert tlb ~pcid:0 ~vpn:5 ~frame:0x5000L ~flags ~global:false;
+  Alcotest.(check bool) "hit pcid0" true (Tlb.lookup tlb ~pcid:0 5).Tlb.valid;
+  Alcotest.(check bool) "miss pcid1" true (not (Tlb.lookup tlb ~pcid:1 5).Tlb.valid);
+  Tlb.insert tlb ~pcid:1 ~vpn:6 ~frame:0x6000L ~flags ~global:false;
   Tlb.flush_pcid tlb 0;
-  Alcotest.(check bool) "pcid0 flushed" true (Tlb.lookup tlb ~pcid:0 5L = None);
-  Alcotest.(check bool) "pcid1 survives pcid0 flush" true (Tlb.lookup tlb ~pcid:1 6L <> None);
+  Alcotest.(check bool) "pcid0 flushed" true (not (Tlb.lookup tlb ~pcid:0 5).Tlb.valid);
+  Alcotest.(check bool) "pcid1 survives pcid0 flush" true (Tlb.lookup tlb ~pcid:1 6).Tlb.valid;
   Tlb.flush_all tlb;
-  Alcotest.(check bool) "all flushed" true (Tlb.lookup tlb ~pcid:1 6L = None)
+  Alcotest.(check bool) "all flushed" true (not (Tlb.lookup tlb ~pcid:1 6).Tlb.valid)
 
 (* invlpg semantics: flush_page must drop the translation under *every*
    PCID and also global entries, but leave entries for other VPNs that
@@ -247,15 +270,15 @@ let test_tlb_pcid () =
 let test_tlb_flush_page_pcid_blind () =
   let tlb = Tlb.create ~size:64 () in
   let flags = { Pt.writable = true; user = true; executable = true } in
-  Tlb.insert tlb ~pcid:3 ~vpn:5L ~frame:0x5000L ~flags ~global:false;
-  Tlb.flush_page tlb 5L;
-  Alcotest.(check bool) "flushed under a foreign pcid" true (Tlb.lookup tlb ~pcid:3 5L = None);
-  Tlb.insert tlb ~pcid:0 ~vpn:7L ~frame:0x7000L ~flags ~global:true;
-  Tlb.flush_page tlb 7L;
-  Alcotest.(check bool) "global entry flushed" true (Tlb.lookup tlb ~pcid:9 7L = None);
-  Tlb.insert tlb ~pcid:0 ~vpn:9L ~frame:0x9000L ~flags ~global:false;
-  Tlb.flush_page tlb (Int64.of_int (9 + 64)); (* aliases slot 9, different vpn *)
-  Alcotest.(check bool) "slot-aliasing vpn survives" true (Tlb.lookup tlb ~pcid:0 9L <> None)
+  Tlb.insert tlb ~pcid:3 ~vpn:5 ~frame:0x5000L ~flags ~global:false;
+  Tlb.flush_page tlb 5;
+  Alcotest.(check bool) "flushed under a foreign pcid" true (not (Tlb.lookup tlb ~pcid:3 5).Tlb.valid);
+  Tlb.insert tlb ~pcid:0 ~vpn:7 ~frame:0x7000L ~flags ~global:true;
+  Tlb.flush_page tlb 7;
+  Alcotest.(check bool) "global entry flushed" true (not (Tlb.lookup tlb ~pcid:9 7).Tlb.valid);
+  Tlb.insert tlb ~pcid:0 ~vpn:9 ~frame:0x9000L ~flags ~global:false;
+  Tlb.flush_page tlb (9 + 64); (* aliases slot 9, different vpn *)
+  Alcotest.(check bool) "slot-aliasing vpn survives" true (Tlb.lookup tlb ~pcid:0 9).Tlb.valid
 
 (* Frame accounting: map/unmap/clear cycles must return every intermediate
    table frame to the allocator exactly once (no leak, no double free). *)

@@ -9,6 +9,7 @@ let () =
       Test_verify.suite;
       Test_hvm.suite;
       Test_hostir.suite;
+      Test_exec.suite;
       Test_reloc.suite;
       Test_arm.suite;
       Test_engine.suite;

@@ -46,7 +46,7 @@ let test_clean_baseline () =
   map_both m root s ~asid:0 0x5000L 0x6000L rw;
   map_both m root s ~asid:0 0x9000L 0xA000L ro;
   map_both m root s ~asid:0 0x0000_8000_0000_0000L 0xB000L rw;
-  Tlb.insert m.Machine.tlb ~pcid:0 ~vpn:5L ~frame:0x6000L ~flags:rw ~global:false;
+  Tlb.insert m.Machine.tlb ~pcid:0 ~vpn:5 ~frame:0x6000L ~flags:rw ~global:false;
   check1 m root s;
   Alcotest.(check bool) "no findings on consistent state" true (San.ok s);
   Alcotest.(check bool) "work was done" true
@@ -73,7 +73,7 @@ let test_negative_corrupt_pte () =
 let test_negative_stale_tlb () =
   let m, root, s = mk () in
   map_both m root s ~asid:0 0x5000L 0x6000L rw;
-  Tlb.insert m.Machine.tlb ~pcid:0 ~vpn:5L ~frame:0x6000L ~flags:rw ~global:false;
+  Tlb.insert m.Machine.tlb ~pcid:0 ~vpn:5 ~frame:0x6000L ~flags:rw ~global:false;
   check1 m root s;
   Alcotest.(check bool) "derivable entry is fine" true (San.ok s);
   Pt.unmap m.Machine.mem ~root 0x5000L;

@@ -249,6 +249,23 @@ let test_fixed_dynamic_analysis () =
   let rbc = Analysis.classify bc in
   Alcotest.(check bool) "b_cond has a dynamic branch" true (rbc.Analysis.dynamic_branches > 0)
 
+(* Each guest builds its offline model once per level: [check] asks for a
+   level on every run, and the default [ops ()] model is the level-4 one. *)
+let test_models_memoized () =
+  let same what a b = Alcotest.(check bool) what true (a == b) in
+  List.iter
+    (fun level ->
+      let arm = Guest_arm.Arm.ops ~opt_level:level () and rv = Guest_riscv.Riscv.ops ~opt_level:level () in
+      same (Printf.sprintf "armv8-a O%d" level) arm.Guest.Ops.model
+        (Guest_arm.Arm.ops ~opt_level:level ()).Guest.Ops.model;
+      same (Printf.sprintf "rv64im O%d" level) rv.Guest.Ops.model
+        (Guest_riscv.Riscv.ops ~opt_level:level ()).Guest.Ops.model)
+    [ 1; 4 ];
+  same "armv8-a default is O4" (Guest_arm.Arm.ops ()).Guest.Ops.model
+    (Guest_arm.Arm.model_at_level 4);
+  same "rv64im default is O4" (Guest_riscv.Riscv.ops ()).Guest.Ops.model
+    (Guest_riscv.Riscv.model_at_level 4)
+
 let suite =
   ( "ssa",
     [
@@ -260,4 +277,5 @@ let suite =
       Alcotest.test_case "offline fp folding" `Quick test_offline_fold_fp;
       Alcotest.test_case "ARM model O1 vs O4 (differential)" `Slow test_arm_opt_levels_agree;
       Alcotest.test_case "fixed/dynamic analysis" `Quick test_fixed_dynamic_analysis;
+      Alcotest.test_case "per-level models are built once" `Quick test_models_memoized;
     ] )

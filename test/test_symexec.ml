@@ -133,10 +133,10 @@ let prop_symexec_matches_concrete =
       let preg0 = Array.init 16 (fun _ -> Prng.int64 prng) in
       let rf0 = Array.init n_offs (fun _ -> Prng.int64 prng) in
       let ctx = mk_ctx () in
-      ctx.Exec.pc <- pc0;
-      Array.iteri (fun i x -> ctx.Exec.regs.(i) <- x) preg0;
+      Exec.set_pc ctx pc0;
+      Array.iteri (Exec.set_reg ctx) preg0;
       Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
-      let slot = Exec.run ctx (indexify prog) in
+      let slot = Exec.run ctx (Exec.compile (indexify prog)) in
       (* symbolic run from the fully symbolic initial state *)
       let r = S.run ~init_pc:(S.Atom S.A_pc) prog in
       if not r.S.complete then failwith "bounded run on a loop-free program";
@@ -160,17 +160,17 @@ let prop_symexec_matches_concrete =
       in
       if x.S.x_slot <> slot then
         failwith (Printf.sprintf "exit slot: symbolic %d <> concrete %d" x.S.x_slot slot);
-      check "pc" (S.eval env x.S.x_pc) ctx.Exec.pc;
+      check "pc" (S.eval env x.S.x_pc) (Exec.pc ctx);
       List.iter (fun (off, t) -> check (Printf.sprintf "rf[%d]" off) (S.eval env t) (Exec.rf_read ctx off)) x.S.x_rf;
       (* offsets absent from the canonical exit rf must be untouched *)
       for i = 0 to n_offs - 1 do
         if not (List.mem_assoc (8 * i) x.S.x_rf) then
           check (Printf.sprintf "rf[%d] untouched" (8 * i)) rf0.(i) (Exec.rf_read ctx (8 * i))
       done;
-      List.iter (fun (g, t) -> check (Printf.sprintf "r%d" g) (S.eval env t) ctx.Exec.regs.(g)) x.S.x_pregs;
+      List.iter (fun (g, t) -> check (Printf.sprintf "r%d" g) (S.eval env t) (Exec.reg ctx g)) x.S.x_pregs;
       for g = 0 to n_pregs - 1 do
         if not (List.mem_assoc g x.S.x_pregs) then
-          check (Printf.sprintf "r%d untouched" g) preg0.(g) ctx.Exec.regs.(g)
+          check (Printf.sprintf "r%d untouched" g) preg0.(g) (Exec.reg ctx g)
       done;
       true)
 
