@@ -31,7 +31,9 @@ type fault_response =
 type ctx = {
   machine : Machine.t;
   regfile : Bytes.t; (* guest register file (lives in HVM memory space) *)
-  regs : Bytes.t; (* host GPRs r0..r15, qword r at byte 8r *)
+  regs : Bytes.t;
+      (* host GPRs r0..r15, qword r at byte 8r, then two scratch qwords
+         ([scratch_addr], [scratch_val]) for [Machine.load]/[store] *)
   pc_reg : Bytes.t; (* the dedicated guest-PC host register, one qword *)
   helpers : helper array;
   fault_handler : ctx -> Machine.access -> int64 -> bits:int -> value:int64 option -> fault_response;
@@ -58,12 +60,14 @@ and helper = {
 }
 
 let n_pregs = 16
+let scratch_addr = 8 * n_pregs
+let scratch_val = 8 * (n_pregs + 1)
 
 let create ~machine ~helpers ~fault_handler =
   {
     machine;
     regfile = Bytes.make 8192 '\000';
-    regs = Bytes.make (8 * n_pregs) '\000';
+    regs = Bytes.make (8 * (n_pregs + 2)) '\000';
     pc_reg = Bytes.make 8 '\000';
     helpers;
     fault_handler;
@@ -78,8 +82,16 @@ let create ~machine ~helpers ~fault_handler =
 
 let rf_read ctx off = Bytes.get_int64_le ctx.regfile off
 let rf_write ctx off v = Bytes.set_int64_le ctx.regfile off v
-let reg ctx r = Bytes.get_int64_le ctx.regs (8 * r)
-let set_reg ctx r v = Bytes.set_int64_le ctx.regs (8 * r) v
+let check_preg r = if r < 0 || r >= n_pregs then invalid_arg "executor: bad register"
+
+let reg ctx r =
+  check_preg r;
+  Bytes.get_int64_le ctx.regs (8 * r)
+
+let set_reg ctx r v =
+  check_preg r;
+  Bytes.set_int64_le ctx.regs (8 * r) v
+
 let pc ctx = Bytes.get_int64_le ctx.pc_reg 0
 let set_pc ctx v = Bytes.set_int64_le ctx.pc_reg 0 v
 
@@ -93,7 +105,7 @@ let[@inline] charge ctx n =
 
 (* Operand access; spill-slot traffic costs an extra L1 access. *)
 let[@inline] rd ctx = function
-  | Preg r -> reg ctx r
+  | Preg r -> get ctx (8 * r)
   | Imm v -> v
   | Slot s ->
     charge ctx 1;
@@ -102,7 +114,7 @@ let[@inline] rd ctx = function
 
 let[@inline] wr ctx o v =
   match o with
-  | Preg r -> set_reg ctx r v
+  | Preg r -> set ctx (8 * r) v
   | Slot s ->
     charge ctx 1;
     Bytes.set_int64_le ctx.slots (8 * s) v
@@ -340,8 +352,14 @@ let exec ctx ins =
   | Load_pc d -> wr ctx d (pc ctx)
   | Store_pc s -> set_pc ctx (rd ctx s)
   | Inc_pc n -> set_pc ctx (Int64.add (pc ctx) (Int64.of_int n))
-  | Mem_ld (w, d, a) -> wr ctx d (Machine.mem_read ctx.machine ~bits:w (rd ctx a))
-  | Mem_st (w, a, v) -> Machine.mem_write ctx.machine ~bits:w (rd ctx a) (rd ctx v)
+  | Mem_ld (w, d, a) ->
+    set ctx scratch_addr (rd ctx a);
+    Machine.load ctx.machine ~bits:w ctx.regs ~addr:scratch_addr ~dst:scratch_val;
+    wr ctx d (get ctx scratch_val)
+  | Mem_st (w, a, v) ->
+    set ctx scratch_val (rd ctx v);
+    set ctx scratch_addr (rd ctx a);
+    Machine.store ctx.machine ~bits:w ctx.regs ~addr:scratch_addr ~src:scratch_val
   | Call (h, args, ret) -> (
     let helper = ctx.helpers.(h) in
     charge ctx helper.cost;
@@ -379,7 +397,10 @@ let poll_fired ctx =
 let compile_instr ~n ~next ins : ctx -> int =
   let c = instr_cost ins in
   let target t = if t < 0 || t > n then n else t in
-  let p r = if r < 0 || r >= n_pregs then invalid_arg "executor: bad register" else 8 * r in
+  let p r =
+    check_preg r;
+    8 * r
+  in
   match ins with
   | Label _ | Wbmap _ ->
     fun ctx ->
@@ -565,6 +586,8 @@ let compile_instr ~n ~next ins : ctx -> int =
         next
       end
   | _ ->
+    (* checked here, as [rd]/[wr] would reach the scratch qwords past r15 *)
+    ignore (map_operands (function Preg r as o -> check_preg r; o | o -> o) ins);
     fun ctx ->
       tick ctx c;
       exec ctx ins;
@@ -575,6 +598,7 @@ let compile (p : Encode.program) =
   let n = Array.length instrs in
   let fns = Array.make (n + 1) fell_off in
   Array.iteri (fun i ins -> fns.(i) <- compile_instr ~n ~next:(i + 1) ins) instrs;
+  Array.iter (function Preg r, _ -> check_preg r | _ -> ()) p.Encode.wb_map;
   { fns; instrs; n_slots = p.Encode.n_slots; code_wb_map = p.Encode.wb_map }
 
 (* A host fault out of instruction [i]: count and charge the round trip,

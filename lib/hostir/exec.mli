@@ -25,7 +25,7 @@ type fault_response =
 type ctx = {
   machine : Hvm.Machine.t;
   regfile : Bytes.t; (* guest register file (lives in HVM memory space) *)
-  regs : Bytes.t; (* host GPRs r0..r15 *)
+  regs : Bytes.t; (* host GPRs r0..r15, then two scratch qwords *)
   pc_reg : Bytes.t; (* the dedicated guest-PC host register *)
   helpers : helper array;
   fault_handler :

@@ -204,21 +204,10 @@ let phys_write t ~bits pa v =
 let[@inline] in_ram t pa = Int64.unsigned_compare pa t.ram_limit < 0
 
 (* Memory access from generated code: translation plus the physical access,
-   with MMIO routed to devices. *)
-let mem_read t ~bits va =
-  t.mem_ops <- t.mem_ops + 1;
-  charge t Cost.mem_access;
-  phys_read t ~bits (translate t ~access:Read va)
-
-let mem_write t ~bits va v =
-  t.mem_ops <- t.mem_ops + 1;
-  charge t Cost.mem_access;
-  phys_write t ~bits (translate t ~access:Write va) v
-
-(* The same two accesses with the address and the value in a host register
-   file ([regs], little-endian qwords at byte offsets [addr], [dst] and
-   [src]): the generated code's path.  Nothing crosses the call boxed, so
-   a RAM access that hits the TLB allocates nothing. *)
+   with MMIO routed to devices.  The address and the value live in a host
+   register file ([regs], little-endian qwords at byte offsets [addr],
+   [dst] and [src]), so nothing crosses the call boxed and a RAM access
+   that hits the TLB allocates nothing. *)
 let load t ~bits regs ~addr ~dst =
   t.mem_ops <- t.mem_ops + 1;
   charge t Cost.mem_access;

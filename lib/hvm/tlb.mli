@@ -26,13 +26,10 @@ type t = {
 
 val create : ?size:int -> unit -> t
 
-(** Lookup; counts a hit or miss.  A miss returns {!miss}, whose [valid]
+(** Lookup; counts a hit or miss.  A miss returns an entry whose [valid]
     is false: an entry rather than an option, so a lookup allocates
     nothing. *)
 val lookup : t -> pcid:int -> int -> entry
-
-(** The entry a miss returns. *)
-val miss : entry
 
 val insert : t -> pcid:int -> vpn:int -> frame:int64 -> flags:Pagetable.flags -> global:bool -> unit
 

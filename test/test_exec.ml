@@ -1,6 +1,7 @@
 (* Executor tests: the threaded-code executor's hot paths allocate
    nothing, a host fault resumes with the old executor's exact charging,
-   and the executor's inlined semantics agree with [Dbt_util.Bits]. *)
+   and the executor's inlined semantics (bit ops, shifts, extensions,
+   flags) agree with [Dbt_util.Bits]. *)
 
 open Hostir
 open Hir
@@ -148,6 +149,29 @@ let prop_bit1_matches_bits =
       && Exec.bit1 Brbit32 v = Bits.bit_reverse z32 ~width:32
       && Exec.bit1 Brbit64 v = Bits.bit_reverse v ~width:64)
 
+(* Shift amounts: arbitrary, or small enough to hit 0, the width and just
+   past it. *)
+let gen_amount = QCheck2.Gen.(oneof [ int64; map Int64.of_int (int_range 0 70) ])
+
+let prop_bit2_shifts_match_bits =
+  QCheck2.Test.make ~name:"Exec.bit2 and Exec.alu shifts = Bits" ~count:1000
+    QCheck2.Gen.(pair int64 gen_amount)
+    (fun (a, b) ->
+      let n63 = Int64.to_int (Int64.logand b 63L) in
+      Exec.bit2 Bror32 a b
+      = Bits.rotate_right (Bits.zero_extend a ~width:32) (Int64.to_int (Int64.logand b 31L)) ~width:32
+      && Exec.bit2 Bror64 a b = Bits.rotate_right a n63 ~width:64
+      && Exec.alu Ashl a b = Bits.shl a n63
+      && Exec.alu Ashr a b = Bits.shr a n63
+      && Exec.alu Asar a b = Bits.sar a n63)
+
+let prop_ext_matches_bits =
+  QCheck2.Test.make ~name:"Exec.ext = Bits.sign_extend/zero_extend" ~count:1000
+    QCheck2.Gen.(pair int64 (int_range 0 64))
+    (fun (v, width) ->
+      Exec.ext true width v = Bits.sign_extend v ~width
+      && Exec.ext false width v = Bits.zero_extend v ~width)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "exec",
@@ -156,4 +180,6 @@ let suite =
       Alcotest.test_case "hot loop allocates nothing" `Quick test_hot_loop_allocation_free;
       q prop_flags_add_matches_bits;
       q prop_bit1_matches_bits;
+      q prop_bit2_shifts_match_bits;
+      q prop_ext_matches_bits;
     ] )
